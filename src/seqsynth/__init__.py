@@ -37,7 +37,6 @@ from .clustering import (
 from .errors import (
     ConfigError,
     DataFormatError,
-    GenerationStallError,
     SeqSynthError,
 )
 from .evaluate import (
@@ -63,13 +62,9 @@ from .synth import (
     TvmcEngine,
     TvmcModel,
     build_index,
-    candidates,
     extend_with_buffer,
-    initialize,
     sample_transition,
     synthesize_batch,
-    synthesize_paired_mc,
-    synthesize_tvmc,
 )
 
 __version__ = "0.1.0"

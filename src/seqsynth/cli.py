@@ -11,11 +11,11 @@ window-sensitivity sweeps into reproducible pipelines:
 * ``sweep``    synth+eval over a (delta, order) grid
 * ``pipeline`` run every stage from one JSON config
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 generation
-stall.  Errors are emitted as one JSON object on stderr.  All randomness
-flows from ``--seed``; when unset, a seed is drawn from system entropy
-and printed.  The hash of the effective configuration is recorded in
-every JSON artifact.
+Exit codes: 0 success, 2 configuration error, 3 data error.  Errors are
+emitted as one JSON object on stderr.  All randomness flows from
+``--seed``; when unset, a seed is drawn from system entropy and printed.
+The hash of the effective configuration is recorded in every JSON
+artifact.
 """
 
 from __future__ import annotations
@@ -34,12 +34,11 @@ from pathlib import Path
 from . import clustering, evaluate, synth
 from . import io as seqio
 from .core import Corpus, discretize_corpus, smooth_rolling
-from .errors import ConfigError, DataFormatError, GenerationStallError, SeqSynthError
+from .errors import ConfigError, DataFormatError, SeqSynthError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
-EXIT_STALL = 4
 ENV_OUTDIR = "SEQSYNTH_OUTDIR"
 
 
@@ -207,26 +206,15 @@ def _stage_synth(
     cfg_hash: str,
     corpus_name: str = "synth",
 ) -> Corpus:
-    try:
-        out, provenance = synth.synthesize_batch(
-            corpus,
-            config,
-            count,
-            engine=engine,
-            assignment=assignment,
-            weights=weights,
-            workers=workers,
-        )
-    except GenerationStallError as exc:
-        marker = {
-            "error": "GenerationStallError",
-            "message": str(exc),
-            "stall_time": exc.stall_time,
-            "failed_ordinal": exc.ordinal,
-            "config_hash": cfg_hash,
-        }
-        seqio.write_json(marker, outdir / "partial.json")
-        raise
+    out, provenance = synth.synthesize_batch(
+        corpus,
+        config,
+        count,
+        engine=engine,
+        assignment=assignment,
+        weights=weights,
+        workers=workers,
+    )
     if len(out):
         seqio.save_corpus(out, outdir / f"{corpus_name}.csv", out_format)
     else:
@@ -400,7 +388,10 @@ def _synth_settings(args, corpus: Corpus):
     file_cfg: dict = {}
     if args.config is not None:
         file_cfg = _load_json_config(args.config)
-    base, file_count, file_weights = synth.config_from_dict(file_cfg)
+    # delta is bounded by the day length, so validate against this corpus
+    base, file_count, file_weights = synth.config_from_dict(
+        {**file_cfg, "target_length": corpus.length}
+    )
     sampler = args.sampler if args.sampler is not None else base.sampler
     bandwidth = args.bandwidth if args.bandwidth is not None else base.kde_bandwidth
     seed = _resolve_seed(args.seed if args.seed is not None else file_cfg.get("seed"))
@@ -586,8 +577,9 @@ def cmd_pipeline(args) -> int:
     engines = synth_cfg.pop("engines", ["paired-mc", "tvmc"])
     file_workers = synth_cfg.pop("workers", 1)
     workers = int(args.workers if args.workers is not None else file_workers)
-    base_config, count, weights = synth.config_from_dict(synth_cfg)
-    base_config = replace(base_config, target_length=corpus.length)
+    base_config, count, weights = synth.config_from_dict(
+        {**synth_cfg, "target_length": corpus.length}
+    )
     if count is None:
         count = len(corpus)
 
@@ -747,9 +739,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GenerationStallError as exc:
-        _emit_error(exc, EXIT_STALL, stall_time=exc.stall_time, ordinal=exc.ordinal)
-        return EXIT_STALL
     except ConfigError as exc:
         _emit_error(exc, EXIT_CONFIG)
         return EXIT_CONFIG

@@ -12,20 +12,3 @@ class ConfigError(SeqSynthError):
 class DataFormatError(SeqSynthError):
     """Malformed or inconsistent input data."""
 
-
-class GenerationStallError(SeqSynthError):
-    """Synthesis could not continue past ``stall_time``.
-
-    Carries the time offset at which every candidate lookup came back
-    empty, and (when raised from a batch) the ordinal of the sequence
-    that stalled.
-    """
-
-    def __init__(self, message: str, stall_time: int, ordinal: int | None = None):
-        super().__init__(message)
-        self.stall_time = stall_time
-        self.ordinal = ordinal
-
-    def __reduce__(self):
-        # keeps the extra fields intact across process boundaries
-        return type(self), (str(self), self.stall_time, self.ordinal)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .clustering import ClusterAssignment, ClusterWeights, sample_cluster
 from .core import Corpus, Episode, IntervalSequence, run_bounds
-from .errors import ConfigError, DataFormatError, GenerationStallError
+from .errors import ConfigError, DataFormatError
 
 __all__ = [
     "ENGINES",
@@ -47,8 +47,6 @@ __all__ = [
     "Candidates",
     "CandidateIndex",
     "build_index",
-    "candidates",
-    "initialize",
     "DurationSampler",
     "silverman_bandwidth",
     "sample_transition",
@@ -57,8 +55,6 @@ __all__ = [
     "GenerationResult",
     "PairedMcEngine",
     "TvmcEngine",
-    "synthesize_paired_mc",
-    "synthesize_tvmc",
     "verify_realizable",
     "SequenceProvenance",
     "BatchProvenance",
@@ -106,12 +102,16 @@ class SynthesisConfig:
     duration_pool: str = "window"
 
     def __post_init__(self):
-        if self.delta < 0:
-            raise ConfigError("delta must be non-negative")
-        if not 1 <= self.order <= MAX_ORDER:
-            raise ConfigError(f"order must be in [1, {MAX_ORDER}]")
         if self.target_length < 1:
             raise ConfigError("target_length must be positive")
+        # the buffer holds an (n_sequences, delta) array, so delta is bounded
+        if not 0 <= self.delta <= self.target_length:
+            raise ConfigError(
+                f"delta must be in [0, target_length={self.target_length}], "
+                f"got {self.delta}"
+            )
+        if not 1 <= self.order <= MAX_ORDER:
+            raise ConfigError(f"order must be in [1, {MAX_ORDER}]")
         if self.sampler not in SAMPLERS:
             raise ConfigError(f"unknown sampler {self.sampler!r}")
         if self.kde_bandwidth is not None and not self.kde_bandwidth > 0:
@@ -172,13 +172,16 @@ def config_to_dict(
 class TvmcModel:
     """Empirical per-interval transition counts with daily wrap-around.
 
-    ``step(state, t, u)`` draws the state at interval ``t`` given
-    ``state`` at ``t - 1``.  Times at or past the sequence length reuse
-    the statistics of ``t mod length``; the transition into interval 0
-    is estimated from the day wrap (last interval -> first interval).
-    When no transition was ever observed from ``state`` at that time,
-    the draw falls back to the marginal distribution of states observed
-    at that interval, and the fallback is reported.
+    ``walk(start_states, t0, uniforms)`` advances every row in lockstep:
+    row i starts from ``start_states[i]`` at interval ``t0 - 1`` and
+    column k of ``uniforms`` draws its state at interval ``t0 + k``
+    given the state before it.  Times at or past the sequence length
+    reuse the statistics of ``t mod length``; the transition into
+    interval 0 is estimated from the day wrap (last interval -> first
+    interval).  When no transition was ever observed from a state at
+    that time, the draw falls back to the marginal distribution of
+    states observed at that interval, and the fallbacks are counted per
+    row.
     """
 
     def __init__(self, trans_cum, first_cum, marginal_cum, length, n_states):
@@ -193,13 +196,15 @@ class TvmcModel:
         mat = corpus.states_matrix
         n_seq, length = mat.shape
         n_states = corpus.alphabet.size
-        prev = np.roll(mat, 1, axis=1)  # prev[:, 0] wraps to the last interval
-        flat = prev * n_states + mat
-        counts = np.empty((length, n_states, n_states), dtype=np.int64)
-        for t in range(length):
-            counts[t] = np.bincount(flat[:, t], minlength=n_states * n_states).reshape(
-                n_states, n_states
-            )
+        # flat cell index t*S*S + prev*S + cur, built in place in int64;
+        # prev[:, 0] wraps to the last interval
+        flat = np.roll(mat.astype(np.int64, copy=False), 1, axis=1)
+        flat *= n_states
+        flat += mat
+        flat += np.arange(length) * (n_states * n_states)
+        counts = np.bincount(
+            flat.ravel(), minlength=length * n_states * n_states
+        ).reshape(length, n_states, n_states)
         marginal = counts.sum(axis=1)  # distribution of states at interval t
         first = np.bincount(mat[:, 0], minlength=n_states)
         return cls(
@@ -210,20 +215,27 @@ class TvmcModel:
             n_states,
         )
 
-    def initial_state(self, u: float) -> int:
-        row = self.first_cum
-        return int(np.searchsorted(row, u * row[-1], side="right"))
-
-    def step(self, state: int, t: int, u: float) -> tuple[int, bool]:
-        t = t % self.length
-        row = self.trans_cum[t, state]
-        total = row[-1]
-        fallback = total == 0
-        if fallback:
-            row = self.marginal_cum[t]
-            total = row[-1]
-        nxt = int(np.searchsorted(row, u * total, side="right"))
-        return nxt, bool(fallback)
+    def walk(
+        self, start_states: np.ndarray, t0: int, uniforms: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """States at ``t0 .. t0 + n_steps - 1`` and per-row fallback counts."""
+        n_rows, n_steps = uniforms.shape
+        states = np.empty((n_rows, n_steps), dtype=np.int64)
+        fallbacks = np.zeros(n_rows, dtype=np.int64)
+        cur = np.asarray(start_states, dtype=np.int64)
+        for k in range(n_steps):
+            t = (t0 + k) % self.length
+            rows = self.trans_cum[t, cur]  # fancy indexing copies
+            totals = rows[:, -1]
+            missing = totals == 0
+            if missing.any():
+                rows[missing] = self.marginal_cum[t]
+                totals = rows[:, -1]
+                fallbacks += missing
+            # count of cumulative cells <= u*total == searchsorted(..., 'right')
+            cur = (rows <= (uniforms[:, k] * totals)[:, None]).sum(axis=1)
+            states[:, k] = cur
+        return states, fallbacks
 
 
 class FirstEpisodeTable:
@@ -249,18 +261,6 @@ class FirstEpisodeTable:
         state = int(np.searchsorted(row, rng.random() * row[-1], side="right"))
         pool = self.durations_by_state[state]
         return state, int(pool[rng.integers(pool.size)])
-
-
-def initialize(corpus: Corpus, rng: np.random.Generator) -> tuple[int, int]:
-    """Draw an opening (state, duration) pair.
-
-    The state is proportional to the frequency of first-interval states
-    across the corpus; the duration is drawn from the observed opening
-    episode durations of that state.
-    """
-    if len(corpus) == 0:
-        raise DataFormatError("cannot initialize from an empty corpus")
-    return FirstEpisodeTable(corpus).draw(rng)
 
 
 class Candidates(NamedTuple):
@@ -397,18 +397,6 @@ def build_index(corpus: Corpus, delta: int) -> CandidateIndex:
     return CandidateIndex(blocks, corpus.alphabet.size, corpus.length, delta)
 
 
-def candidates(
-    index: CandidateIndex,
-    a_c: int,
-    context: Sequence[int] = (),
-    t_c: int = 0,
-    delta: int | None = None,
-    order: int = 1,
-) -> Candidates:
-    """Module-level alias for :meth:`CandidateIndex.candidates`."""
-    return index.candidates(a_c, context, t_c, delta, order)
-
-
 def silverman_bandwidth(values: np.ndarray) -> float:
     """Rule-of-thumb Gaussian bandwidth: 0.9 * min(sd, IQR/1.34) * m^(-1/5)."""
     values = np.asarray(values, dtype=np.float64)
@@ -478,40 +466,20 @@ def sample_transition(
 
 
 def extend_with_buffer(
-    corpus: Corpus, delta: int, rng: np.random.Generator
+    corpus: Corpus, model: TvmcModel, delta: int, rng: np.random.Generator
 ) -> Corpus:
     """Continue every sequence for ``delta`` intervals with baseline steps.
 
-    Transition statistics for times past the end of the day wrap around
-    (interval ``t`` reuses the statistics of ``t mod length``).  The
-    original prefix of each sequence is unchanged.
-
-    All sequences advance in lockstep so the inner loop is vectorized;
-    sequence i consumes the i-th row of one uniform draw, which matches
-    a sequence-by-sequence walk of the same stream.
+    ``model`` is the baseline fitted to ``corpus``.  Transition
+    statistics for times past the end of the day wrap around (interval
+    ``t`` reuses the statistics of ``t mod length``).  The original
+    prefix of each sequence is unchanged; sequence i walks on the i-th
+    row of one uniform draw.
     """
     if delta == 0:
         return corpus
-    model = TvmcModel.fit(corpus)
-    n = corpus.length
-    n_seq = len(corpus)
-    u = rng.random((n_seq, delta))
-    trans = model.trans_cum
-    marg = model.marginal_cum
-    ext = np.empty((n_seq, delta), dtype=np.int64)
-    cur = corpus.states_matrix[:, -1].copy()
-    for k in range(delta):
-        t = (n + k) % n
-        rows = trans[t, cur]
-        totals = rows[:, -1]
-        missing = totals == 0
-        if missing.any():
-            rows = rows.copy()
-            rows[missing] = marg[t]
-            totals = rows[:, -1]
-        # count of cumulative cells <= u*total == searchsorted(..., 'right')
-        cur = (rows <= (u[:, k] * totals)[:, None]).sum(axis=1)
-        ext[:, k] = cur
+    mat = corpus.states_matrix
+    ext, _ = model.walk(mat[:, -1], corpus.length, rng.random((len(corpus), delta)))
     out = []
     for i, seq in enumerate(corpus.sequences):
         states = np.concatenate((seq.states, ext[i]))
@@ -608,6 +576,7 @@ class PairedMcEngine:
         if config.buffer == "tvmc" and config.delta > 0:
             buffered = extend_with_buffer(
                 corpus,
+                self.tvmc,
                 config.delta,
                 _stream(config.seed, _BUFFER_STREAM, stream_key),
             )
@@ -653,7 +622,10 @@ class PairedMcEngine:
 
             if cands is None:
                 # final resort: a single baseline interval, then resume
-                nxt, _ = self.tvmc.step(run.current_state, run.end_time, rng.random())
+                step, _ = self.tvmc.walk(
+                    [run.current_state], run.end_time, np.array([[rng.random()]])
+                )
+                nxt = int(step[0, 0])
                 fallbacks["tvmc_steps"] += 1
                 if nxt == run.current_state:
                     run.extend_current(1)
@@ -683,6 +655,10 @@ class PairedMcEngine:
         )[: self.n]
         return GenerationResult(states, run.episodes(), fallbacks)
 
+    def generate_many(self, rngs: Sequence[np.random.Generator]) -> list[GenerationResult]:
+        """One :meth:`generate` per stream, in order."""
+        return [self.generate(rng) for rng in rngs]
+
 
 def _all_day_durations(corpus: Corpus) -> dict[int, np.ndarray]:
     """Durations of every episode in the corpus, grouped by state."""
@@ -699,7 +675,12 @@ def _all_day_durations(corpus: Corpus) -> dict[int, np.ndarray]:
 
 
 class TvmcEngine:
-    """Per-interval baseline generator (time-varying Markov chain)."""
+    """Per-interval baseline generator (time-varying Markov chain).
+
+    A batch of streams is walked in lockstep: each stream supplies one
+    uniform row, whose first value draws the opening state and the rest
+    the following intervals.
+    """
 
     name = "tvmc"
 
@@ -709,51 +690,22 @@ class TvmcEngine:
         self.n = corpus.length
         self.model = TvmcModel.fit(corpus)
 
-    def generate(self, rng: np.random.Generator) -> GenerationResult:
-        n = self.n
-        trans = self.model.trans_cum
-        marg = self.model.marginal_cum
-        searchsorted = np.searchsorted
-        states = np.empty(n, dtype=np.int64)
-        cur = self.model.initial_state(rng.random())
-        states[0] = cur
-        us = rng.random(n - 1)
-        fallback_count = 0
-        for t in range(1, n):
-            row = trans[t, cur]
-            total = row[-1]
-            if total == 0:
-                row = marg[t]
-                total = row[-1]
-                fallback_count += 1
-            cur = int(searchsorted(row, us[t - 1] * total, side="right"))
-            states[t] = cur
-        return GenerationResult(states, None, {"marginal": fallback_count})
+    def generate_many(self, rngs: Sequence[np.random.Generator]) -> list[GenerationResult]:
+        """One sequence per stream, in order."""
+        u = np.empty((len(rngs), self.n))
+        for row, rng in zip(u, rngs):
+            rng.random(out=row)
+        first = self.model.first_cum
+        states = np.empty_like(u, dtype=np.int64)
+        states[:, 0] = np.searchsorted(first, u[:, 0] * first[-1], side="right")
+        states[:, 1:], fallbacks = self.model.walk(states[:, 0], 1, u[:, 1:])
+        return [
+            GenerationResult(row, None, {"marginal": int(fb)})
+            for row, fb in zip(states, fallbacks)
+        ]
 
 
 _ENGINE_CLASSES = {"paired-mc": PairedMcEngine, "tvmc": TvmcEngine}
-
-
-def synthesize_paired_mc(
-    corpus: Corpus, config: SynthesisConfig, rng: np.random.Generator | None = None
-) -> IntervalSequence:
-    """Build a paired-MC engine over the corpus and generate one sequence."""
-    engine = PairedMcEngine(corpus, config)
-    if rng is None:
-        rng = _stream(config.seed, _SEQUENCE_STREAM, 0)
-    result = engine.generate(rng)
-    return IntervalSequence(result.states, corpus.interval_minutes)
-
-
-def synthesize_tvmc(
-    corpus: Corpus, config: SynthesisConfig, rng: np.random.Generator | None = None
-) -> IntervalSequence:
-    """Generate one sequence with the per-interval baseline."""
-    engine = TvmcEngine(corpus, config)
-    if rng is None:
-        rng = _stream(config.seed, _SEQUENCE_STREAM, 0)
-    result = engine.generate(rng)
-    return IntervalSequence(result.states, corpus.interval_minutes)
 
 
 def verify_realizable(
@@ -852,19 +804,8 @@ def _engine_for(cluster: int) -> object:
     return engines[cluster]
 
 
-def _generate_one(ordinal: int) -> tuple[int, int, np.ndarray, dict]:
-    config = _WORKER["config"]
-    rng = _stream(config.seed, _SEQUENCE_STREAM, ordinal)
-    if _WORKER["draw_cluster"]:
-        cluster = sample_cluster(_WORKER["weights"], rng)
-    else:
-        cluster = 0
-    try:
-        result = _engine_for(cluster).generate(rng)
-    except GenerationStallError as exc:
-        raise GenerationStallError(str(exc), exc.stall_time, ordinal) from None
-    return ordinal, cluster, result.states, result.fallbacks
-
+# caps a tvmc block's pre-drawn uniforms at about 3 MB for 1440-interval days
+_BLOCK_ROWS = 256
 
 # one stacked matrix per chunk keeps inter-process transfer cheap
 _ChunkResult = tuple[list[int], list[int], np.ndarray, list[dict]]
@@ -874,16 +815,25 @@ def _worker_chunk(ordinals: Sequence[int]) -> _ChunkResult:
     config = _WORKER["config"]
     n_states = _WORKER["clusters"][0].alphabet.size
     dtype = np.int16 if n_states < 2**15 else np.int64
-    states = np.empty((len(ordinals), config.target_length), dtype=dtype)
-    ords: list[int] = []
-    clusters: list[int] = []
-    fallbacks: list[dict] = []
-    for row, ordinal in enumerate(ordinals):
-        i, cluster, seq_states, fb = _generate_one(ordinal)
-        ords.append(i)
-        clusters.append(cluster)
-        states[row] = seq_states
-        fallbacks.append(fb)
+    ords = list(ordinals)
+    rngs = [_stream(config.seed, _SEQUENCE_STREAM, o) for o in ords]
+    if _WORKER["draw_cluster"]:
+        clusters = [sample_cluster(_WORKER["weights"], rng) for rng in rngs]
+    else:
+        clusters = [0] * len(ords)
+    rows_by_cluster: dict[int, list[int]] = {}
+    for row, cluster in enumerate(clusters):
+        rows_by_cluster.setdefault(cluster, []).append(row)
+    states = np.empty((len(ords), config.target_length), dtype=dtype)
+    fallbacks: list = [None] * len(ords)
+    for cluster, rows in rows_by_cluster.items():
+        engine = _engine_for(cluster)
+        for lo in range(0, len(rows), _BLOCK_ROWS):
+            block = rows[lo : lo + _BLOCK_ROWS]
+            results = engine.generate_many([rngs[r] for r in block])
+            for row, result in zip(block, results):
+                states[row] = result.states
+                fallbacks[row] = result.fallbacks
     return ords, clusters, states, fallbacks
 
 
@@ -914,8 +864,7 @@ def synthesize_batch(
     With an assignment, each output first draws a cluster (weights
     default to cluster sizes) and then synthesizes from that cluster's
     sub-corpus.  Output ``i`` depends only on (corpus, config, i), so
-    results are byte-identical for any ``workers`` value.  Engine errors
-    propagate with the ordinal of the failing sequence attached.
+    results are byte-identical for any ``workers`` value.
     """
     if engine not in ENGINES:
         raise ConfigError(f"unknown engine {engine!r}")

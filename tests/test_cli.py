@@ -176,29 +176,30 @@ class TestSynth:
         loaded = seqio.load_corpus(out / "synth.csv", "episode")
         assert len(loaded) == 2
 
-    def test_stall_writes_partial_marker(self, tmp_path, corpus_csv, monkeypatch):
-        from seqsynth import synth as synth_mod
-        from seqsynth.errors import GenerationStallError
-
-        real_generate = synth_mod.PairedMcEngine.generate
-        calls = {"n": 0}
-
-        def flaky(self, rng):
-            calls["n"] += 1
-            if calls["n"] > 2:
-                raise GenerationStallError("forced stall", stall_time=123)
-            return real_generate(self, rng)
-
-        monkeypatch.setattr(synth_mod.PairedMcEngine, "generate", flaky)
+    def test_delta_longer_than_day_is_config_error(self, tmp_path, corpus_csv, capsys):
         out = tmp_path / "out"
         code = run_cli(
-            "synth", "--corpus", corpus_csv, "--seed", 10, "--count", 5,
+            "synth", "--corpus", corpus_csv, "--seed", 11, "--delta", 241,
             "--output", out,
         )
-        assert code == cli.EXIT_STALL
-        marker = json.loads((out / "partial.json").read_text())
-        assert marker["stall_time"] == 123
-        assert marker["failed_ordinal"] == 2
+        assert code == cli.EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "delta" in err["message"]
+        assert not (out / "synth.csv").exists()
+
+    def test_config_file_delta_checked_against_corpus_length(self, tmp_path):
+        # a file without target_length is bounded by the corpus's day
+        # length, not by the 1440-interval default
+        corpus_path = tmp_path / "long.csv"
+        seqio.save_corpus(activity_ground_truth(6, 1500, seed=71), corpus_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"delta": 1460, "seed": 12, "count": 1}))
+        out = tmp_path / "out"
+        code = run_cli("synth", "--corpus", corpus_path, "--config", cfg, "--output", out)
+        assert code == 0
+        prov = json.loads((out / "synth_provenance.json").read_text())
+        assert prov["config"]["delta"] == 1460
 
 
 class TestEval:

@@ -10,14 +10,12 @@ from seqsynth import (
     StateAlphabet,
     SynthesisConfig,
     TvmcEngine,
+    TvmcModel,
     build_index,
     extend_with_buffer,
-    initialize,
     rle_encode,
     sample_transition,
     synthesize_batch,
-    synthesize_paired_mc,
-    synthesize_tvmc,
 )
 from seqsynth.synth import (
     Candidates,
@@ -186,9 +184,10 @@ class TestInitialize:
     def test_single_start_state(self):
         alphabet = two_state_alphabet()
         corpus = Corpus.from_arrays(alphabet, [[0, 0, 1], [0, 1, 1]])
+        table = FirstEpisodeTable(corpus)
         rng = np.random.default_rng(13)
         for _ in range(20):
-            state, duration = initialize(corpus, rng)
+            state, duration = table.draw(rng)
             assert state == 0
             assert duration in (1, 2)
 
@@ -308,7 +307,7 @@ class TestBuffer:
         alphabet = two_state_alphabet()
         corpus = Corpus.from_arrays(alphabet, [[0] * 50, [0] * 50])
         rng = np.random.default_rng(23)
-        extended = extend_with_buffer(corpus, 10, rng)
+        extended = extend_with_buffer(corpus, TvmcModel.fit(corpus), 10, rng)
         assert extended.length == 60
         for seq in extended.sequences:
             assert (seq.states == 0).all()
@@ -317,7 +316,7 @@ class TestBuffer:
         rng_data = np.random.default_rng(24)
         corpus = random_corpus(rng_data, n_seq=6, length=70)
         rng = np.random.default_rng(25)
-        extended = extend_with_buffer(corpus, 15, rng)
+        extended = extend_with_buffer(corpus, TvmcModel.fit(corpus), 15, rng)
         assert extended.length == 85
         for before, after in zip(corpus.sequences, extended.sequences):
             assert np.array_equal(after.states[:70], before.states)
@@ -325,7 +324,8 @@ class TestBuffer:
 
     def test_zero_delta_is_noop(self):
         corpus = random_corpus(np.random.default_rng(26), n_seq=3, length=30)
-        assert extend_with_buffer(corpus, 0, np.random.default_rng(0)) is corpus
+        model = TvmcModel.fit(corpus)
+        assert extend_with_buffer(corpus, model, 0, np.random.default_rng(0)) is corpus
 
     def test_buffer_supplies_late_window_candidates(self):
         # queries near the end of the day need transitions observed past
@@ -360,14 +360,14 @@ class TestPairedMc:
         day = [0] * 420 + [1] * 30 + [2] * 510 + [1] * 30 + [0] * 450
         corpus = Corpus.from_arrays(alphabet, [day] * 4)
         config = SynthesisConfig(delta=60, target_length=1440, seed=3)
-        out = synthesize_paired_mc(corpus, config)
+        out = PairedMcEngine(corpus, config).generate(np.random.default_rng(3))
         assert out.states.tolist() == day
 
     def test_constant_corpus_reproduced(self):
         alphabet = two_state_alphabet()
         corpus = Corpus.from_arrays(alphabet, [[0] * 100] * 3)
         config = SynthesisConfig(delta=10, target_length=100, seed=4)
-        out = synthesize_paired_mc(corpus, config)
+        out = PairedMcEngine(corpus, config).generate(np.random.default_rng(4))
         assert (out.states == 0).all()
 
     def test_exact_length_and_alphabet_closure(self):
@@ -432,16 +432,16 @@ class TestPairedMc:
     def test_kde_engine_runs(self):
         corpus = activity_ground_truth(30, 300, seed=36)
         config = SynthesisConfig(delta=30, target_length=300, seed=8, sampler="kde")
-        out = synthesize_paired_mc(corpus, config)
-        assert len(out) == 300
+        out = PairedMcEngine(corpus, config).generate(np.random.default_rng(8))
+        assert out.states.size == 300
 
     def test_all_day_duration_pool(self):
         corpus = activity_ground_truth(30, 300, seed=37)
         config = SynthesisConfig(
             delta=30, target_length=300, seed=9, duration_pool="all_day"
         )
-        out = synthesize_paired_mc(corpus, config)
-        assert len(out) == 300
+        out = PairedMcEngine(corpus, config).generate(np.random.default_rng(9))
+        assert out.states.size == 300
 
     def test_target_length_mismatch_rejected(self):
         corpus = activity_ground_truth(5, 100, seed=38)
@@ -456,7 +456,7 @@ class TestTvmc:
         day = [0] * 40 + [1] * 30 + [0] * 30
         corpus = Corpus.from_arrays(alphabet, [day] * 3)
         config = SynthesisConfig(delta=10, target_length=100, seed=10)
-        out = synthesize_tvmc(corpus, config)
+        [out] = TvmcEngine(corpus, config).generate_many([np.random.default_rng(10)])
         assert out.states.tolist() == day
 
     def test_forced_switch_time(self):
@@ -472,7 +472,7 @@ class TestTvmc:
         engine = TvmcEngine(corpus, config)
         rng = np.random.default_rng(40)
         for _ in range(10):
-            result = engine.generate(rng)
+            [result] = engine.generate_many([rng])
             assert (result.states[:100] == 0).all()
             assert result.states[100] == 1
 
@@ -576,22 +576,6 @@ class TestBatch:
                 corpus, config, 2, assignment=labels, weights=[1.0, 1.0, 1.0]
             )
 
-    def test_stall_in_worker_pool_carries_ordinal(self, monkeypatch):
-        from seqsynth import synth as synth_mod
-        from seqsynth.errors import GenerationStallError
-
-        corpus = activity_ground_truth(10, 80, seed=96)
-        config = SynthesisConfig(delta=10, target_length=80, seed=97)
-
-        def always_stall(self, rng):
-            raise GenerationStallError("forced", stall_time=55)
-
-        monkeypatch.setattr(synth_mod.PairedMcEngine, "generate", always_stall)
-        with pytest.raises(GenerationStallError) as excinfo:
-            synthesize_batch(corpus, config, 6, workers=2)
-        assert excinfo.value.stall_time == 55
-        assert excinfo.value.ordinal is not None
-
     def test_ordinal_streams_are_stable_under_count(self):
         # sequence i is identical whether the batch stops at i+1 or later
         corpus = activity_ground_truth(15, 90, seed=49)
@@ -617,6 +601,15 @@ class TestConfig:
             SynthesisConfig(buffer="pad")
         with pytest.raises(ConfigError):
             SynthesisConfig(seed=-1)
+
+    def test_delta_bounded_by_target_length(self):
+        # the buffer allocates (n_sequences, delta) floats; an oversized
+        # delta must fail here instead of exhausting memory there
+        assert SynthesisConfig(delta=100, target_length=100).delta == 100
+        with pytest.raises(ConfigError, match="delta"):
+            SynthesisConfig(delta=101, target_length=100)
+        with pytest.raises(ConfigError, match="delta"):
+            config_from_dict({"delta": 1_000_000})
 
     def test_json_round_trip(self):
         config = SynthesisConfig(
