@@ -252,11 +252,16 @@ def _stage_eval(
     return report
 
 
+def _sweep_grid(
+    base: synth.SynthesisConfig, deltas: list[int], orders: list[int]
+) -> list[synth.SynthesisConfig]:
+    """Every (delta, order) cell's config, validated before any cell runs."""
+    return [replace(base, delta=int(d), order=int(o)) for d in deltas for o in orders]
+
+
 def _stage_sweep(
     corpus: Corpus,
-    base_config: synth.SynthesisConfig,
-    deltas: list[int],
-    orders: list[int],
+    grid: list[synth.SynthesisConfig],
     count: int,
     engine: str,
     assignment,
@@ -269,54 +274,52 @@ def _stage_sweep(
 ) -> dict:
     cells = []
     rows = []
-    for delta in deltas:
-        for order in orders:
-            config = replace(base_config, delta=int(delta), order=int(order))
-            name = f"{engine}-d{delta}-o{order}"
-            out, _ = synth.synthesize_batch(
-                corpus,
-                config,
-                count,
-                engine=engine,
-                assignment=assignment,
-                weights=weights,
-                workers=workers,
-            )
-            report = evaluate.build_report(
-                corpus,
-                {name: out},
-                states=_resolve_states(states, corpus),
-                exclude_zero_combined=not include_zero,
-            )
-            cell = {
-                "delta": int(delta),
-                "order": int(order),
-                "method": name,
-                "entropy": {
-                    "d": report.entropy[name]["d"],
-                    "p": report.entropy[name]["p"],
-                },
-                "states": {},
+    for config in grid:
+        name = f"{engine}-d{config.delta}-o{config.order}"
+        out, _ = synth.synthesize_batch(
+            corpus,
+            config,
+            count,
+            engine=engine,
+            assignment=assignment,
+            weights=weights,
+            workers=workers,
+        )
+        report = evaluate.build_report(
+            corpus,
+            {name: out},
+            states=_resolve_states(states, corpus),
+            exclude_zero_combined=not include_zero,
+        )
+        cell = {
+            "delta": config.delta,
+            "order": config.order,
+            "method": name,
+            "entropy": {
+                "d": report.entropy[name]["d"],
+                "p": report.entropy[name]["p"],
+            },
+            "states": {},
+        }
+        for state in report.states:
+            ind = report.individual[state][name]
+            comb = report.combined[state][name]
+            cell["states"][state] = {
+                "individual": {"d": ind["d"], "p": ind["p"]},
+                "combined": {"d": comb["d"], "p": comb["p"]},
             }
-            for state in report.states:
-                ind = report.individual[state][name]
-                comb = report.combined[state][name]
-                cell["states"][state] = {
-                    "individual": {"d": ind["d"], "p": ind["p"]},
-                    "combined": {"d": comb["d"], "p": comb["p"]},
-                }
-                for metric, block in (("individual", ind), ("combined", comb)):
-                    rows.append(
-                        [
-                            delta,
-                            order,
-                            state,
-                            metric,
-                            "" if block["d"] is None else repr(block["d"]),
-                            "" if block["p"] is None else repr(block["p"]),
-                        ]
-                    )
-            cells.append(cell)
+            for metric, block in (("individual", ind), ("combined", comb)):
+                rows.append(
+                    [
+                        config.delta,
+                        config.order,
+                        state,
+                        metric,
+                        "" if block["d"] is None else repr(block["d"]),
+                        "" if block["p"] is None else repr(block["p"]),
+                    ]
+                )
+        cells.append(cell)
     payload = {"cells": cells, "config_hash": cfg_hash}
     seqio.write_json(payload, outdir / "sweep.json")
     with open(outdir / "sweep.csv", "w", encoding="utf-8", newline="") as fh:
@@ -383,20 +386,26 @@ def cmd_cluster(args) -> int:
     return EXIT_OK
 
 
-def _synth_settings(args, corpus: Corpus):
-    """Merge --config file values with flag overrides."""
+def _synth_settings(args, corpus: Corpus, delta: int | None = None):
+    """Merge --config file values with flag overrides.
+
+    A given ``delta`` replaces the flag and file values.
+    """
     file_cfg: dict = {}
     if args.config is not None:
         file_cfg = _load_json_config(args.config)
-    # delta is bounded by the day length, so validate against this corpus
+    if delta is None:
+        delta = _pick(args.delta, file_cfg, "delta", 60)
+    # delta is bounded by the day length, so validate the one used against
+    # this corpus
     base, file_count, file_weights = synth.config_from_dict(
-        {**file_cfg, "target_length": corpus.length}
+        {**file_cfg, "delta": delta, "target_length": corpus.length}
     )
     sampler = args.sampler if args.sampler is not None else base.sampler
     bandwidth = args.bandwidth if args.bandwidth is not None else base.kde_bandwidth
     seed = _resolve_seed(args.seed if args.seed is not None else file_cfg.get("seed"))
     config = synth.SynthesisConfig(
-        delta=_pick(args.delta, file_cfg, "delta", 60),
+        delta=delta,
         order=_pick(args.order, file_cfg, "order", 1),
         target_length=corpus.length,
         sampler=sampler,
@@ -488,12 +497,14 @@ def cmd_sweep(args) -> int:
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     corpus = seqio.load_corpus(args.corpus)
-    config, count, weights = _synth_settings(args, corpus)
-    assignment = _load_assignment(args, corpus)
     deltas = _parse_int_list(args.deltas)
     orders = _parse_int_list(args.orders)
     if not deltas or not orders:
         raise ConfigError("sweep grid must contain at least one delta and one order")
+    # the grid replaces delta, so the base takes the first cell's
+    config, count, weights = _synth_settings(args, corpus, delta=deltas[0])
+    grid = _sweep_grid(config, deltas, orders)
+    assignment = _load_assignment(args, corpus)
     effective = {
         "command": "sweep",
         "corpus": str(args.corpus),
@@ -505,9 +516,7 @@ def cmd_sweep(args) -> int:
     }
     _stage_sweep(
         corpus,
-        config,
-        deltas,
-        orders,
+        grid,
         count,
         args.engine,
         assignment,
@@ -582,6 +591,14 @@ def cmd_pipeline(args) -> int:
     )
     if count is None:
         count = len(corpus)
+    sweep_cfg = cfg.get("sweep")
+    sweep_grid = None
+    if sweep_cfg:
+        sweep_grid = _sweep_grid(
+            base_config,
+            [int(d) for d in sweep_cfg.get("deltas", [30, 60, 120])],
+            [int(o) for o in sweep_cfg.get("orders", [1, 2])],
+        )
 
     t0 = time.perf_counter()
     methods: dict[str, Corpus] = {}
@@ -613,14 +630,11 @@ def cmd_pipeline(args) -> int:
     )
     timings["eval"] = time.perf_counter() - t0
 
-    sweep_cfg = cfg.get("sweep")
-    if sweep_cfg:
+    if sweep_grid is not None:
         t0 = time.perf_counter()
         _stage_sweep(
             corpus,
-            base_config,
-            [int(d) for d in sweep_cfg.get("deltas", [30, 60, 120])],
-            [int(o) for o in sweep_cfg.get("orders", [1, 2])],
+            sweep_grid,
             count,
             sweep_cfg.get("engine", "paired-mc"),
             assignment,

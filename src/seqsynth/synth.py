@@ -807,6 +807,10 @@ def _engine_for(cluster: int) -> object:
 # caps a tvmc block's pre-drawn uniforms at about 3 MB for 1440-interval days
 _BLOCK_ROWS = 256
 
+# ordinals whose streams are alive at once; several blocks per window keep
+# the per-cluster blocks of a clustered run full
+_WINDOW_ROWS = 4 * _BLOCK_ROWS
+
 # one stacked matrix per chunk keeps inter-process transfer cheap
 _ChunkResult = tuple[list[int], list[int], np.ndarray, list[dict]]
 
@@ -816,24 +820,30 @@ def _worker_chunk(ordinals: Sequence[int]) -> _ChunkResult:
     n_states = _WORKER["clusters"][0].alphabet.size
     dtype = np.int16 if n_states < 2**15 else np.int64
     ords = list(ordinals)
-    rngs = [_stream(config.seed, _SEQUENCE_STREAM, o) for o in ords]
-    if _WORKER["draw_cluster"]:
-        clusters = [sample_cluster(_WORKER["weights"], rng) for rng in rngs]
-    else:
-        clusters = [0] * len(ords)
-    rows_by_cluster: dict[int, list[int]] = {}
-    for row, cluster in enumerate(clusters):
-        rows_by_cluster.setdefault(cluster, []).append(row)
+    clusters: list[int] = []
     states = np.empty((len(ords), config.target_length), dtype=dtype)
     fallbacks: list = [None] * len(ords)
-    for cluster, rows in rows_by_cluster.items():
-        engine = _engine_for(cluster)
-        for lo in range(0, len(rows), _BLOCK_ROWS):
-            block = rows[lo : lo + _BLOCK_ROWS]
-            results = engine.generate_many([rngs[r] for r in block])
-            for row, result in zip(block, results):
-                states[row] = result.states
-                fallbacks[row] = result.fallbacks
+    for start in range(0, len(ords), _WINDOW_ROWS):
+        rngs = [
+            _stream(config.seed, _SEQUENCE_STREAM, o)
+            for o in ords[start : start + _WINDOW_ROWS]
+        ]
+        if _WORKER["draw_cluster"]:
+            drawn = [sample_cluster(_WORKER["weights"], rng) for rng in rngs]
+        else:
+            drawn = [0] * len(rngs)
+        clusters.extend(drawn)
+        rows_by_cluster: dict[int, list[int]] = {}
+        for row, cluster in enumerate(drawn):
+            rows_by_cluster.setdefault(cluster, []).append(row)
+        for cluster, rows in rows_by_cluster.items():
+            engine = _engine_for(cluster)
+            for lo in range(0, len(rows), _BLOCK_ROWS):
+                block = rows[lo : lo + _BLOCK_ROWS]
+                results = engine.generate_many([rngs[r] for r in block])
+                for row, result in zip(block, results):
+                    states[start + row] = result.states
+                    fallbacks[start + row] = result.fallbacks
     return ords, clusters, states, fallbacks
 
 

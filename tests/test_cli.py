@@ -29,6 +29,19 @@ def corpus_csv(tmp_path):
     return path
 
 
+@pytest.fixture
+def short_day_csv(tmp_path):
+    # a 30-interval day, shorter than the default delta of 60
+    corpus = activity_ground_truth(12, 30, seed=72)
+    path = tmp_path / "short.csv"
+    seqio.save_corpus(corpus, path)
+    return path
+
+
+def _no_synthesis(*args, **kwargs):
+    raise AssertionError("a cell ran before the grid was validated")
+
+
 def _tree_bytes(root: Path) -> dict:
     return {
         str(p.relative_to(root)): p.read_bytes()
@@ -188,6 +201,17 @@ class TestSynth:
         assert "delta" in err["message"]
         assert not (out / "synth.csv").exists()
 
+    def test_short_day_with_small_delta(self, tmp_path, short_day_csv):
+        # only the delta actually used is bounded, not the default of 60
+        out = tmp_path / "out"
+        code = run_cli(
+            "synth", "--corpus", short_day_csv, "--delta", 5, "--seed", 13,
+            "--count", 3, "--output", out,
+        )
+        assert code == 0
+        prov = json.loads((out / "synth_provenance.json").read_text())
+        assert prov["config"]["delta"] == 5
+
     def test_config_file_delta_checked_against_corpus_length(self, tmp_path):
         # a file without target_length is bounded by the corpus's day
         # length, not by the 1440-interval default
@@ -260,6 +284,31 @@ class TestSweep:
         assert rows[0] == "delta,order,state,metric,d,p"
         assert len(rows) > 1
 
+    def test_short_day_grid(self, tmp_path, short_day_csv):
+        out = tmp_path / "out"
+        code = run_cli(
+            "sweep", "--corpus", short_day_csv, "--deltas", "5,10", "--orders", "1",
+            "--seed", 14, "--count", 4, "--output", out,
+        )
+        assert code == 0
+        sweep = json.loads((out / "sweep.json").read_text())
+        assert [(c["delta"], c["order"]) for c in sweep["cells"]] == [(5, 1), (10, 1)]
+
+    def test_grid_delta_longer_than_day_fails_before_any_cell(
+        self, tmp_path, short_day_csv, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli.synth, "synthesize_batch", _no_synthesis)
+        out = tmp_path / "out"
+        code = run_cli(
+            "sweep", "--corpus", short_day_csv, "--deltas", "5,31", "--orders", "1",
+            "--seed", 15, "--count", 4, "--output", out,
+        )
+        assert code == cli.EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "delta" in err["message"]
+        assert not (out / "sweep.json").exists()
+
     def test_single_cell_matches_synth_plus_eval(self, tmp_path, corpus_csv):
         sweep_out = tmp_path / "sweep"
         code = run_cli(
@@ -315,6 +364,26 @@ class TestPipeline:
             "pipeline_manifest.json",
         ):
             assert (out / rel).exists(), rel
+
+    def test_sweep_delta_longer_than_day_fails_before_synth(
+        self, tmp_path, short_day_csv, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli.synth, "synthesize_batch", _no_synthesis)
+        cfg = tmp_path / "pipeline.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "input": {"path": str(short_day_csv)},
+                    "synth": {"delta": 5, "seed": 16, "count": 2},
+                    "sweep": {"deltas": [5, 31], "orders": [1]},
+                }
+            )
+        )
+        out = tmp_path / "out"
+        code = run_cli("pipeline", "--config", cfg, "--output", out)
+        assert code == cli.EXIT_CONFIG
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        assert not (out / "synth").exists()
 
     def test_missing_config_is_config_error(self, tmp_path, capsys):
         code = run_cli("pipeline", "--config", tmp_path / "nope.json")

@@ -21,6 +21,7 @@ from seqsynth import (
     sample_cluster,
     synthesize_batch,
 )
+from seqsynth import synth
 from seqsynth.synth import _SEQUENCE_STREAM
 
 from _groundtruth import activity_ground_truth
@@ -170,7 +171,14 @@ def _clustered(corpus):
 class TestBatchOracle:
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("clustered", [False, True])
-    def test_batch_matches_scalar_generation(self, workers, clustered):
+    @pytest.mark.parametrize("small_windows", [False, True])
+    def test_batch_matches_scalar_generation(
+        self, workers, clustered, small_windows, monkeypatch
+    ):
+        if small_windows:
+            # many windows per chunk, several blocks per cluster per window
+            monkeypatch.setattr(synth, "_BLOCK_ROWS", 8)
+            monkeypatch.setattr(synth, "_WINDOW_ROWS", 20)
         corpus = activity_ground_truth(30, 120, seed=81)
         config = SynthesisConfig(delta=20, target_length=120, seed=82)
         count = 600  # several 256-row blocks, not a multiple of 256
