@@ -172,11 +172,11 @@ def _stage_cluster(
         dend = clustering.hierarchical_cluster(dmat, linkage)
         k_hi = min(k_range[1], len(corpus))
         profile = clustering.dunn_profile(dend, dmat, (k_range[0], k_hi))
-        assignment = clustering.select_clusters(
-            dend, dmat, (k_range[0], k_hi), min_size
+        chosen = clustering.best_dunn_k(profile)
+        assignment = clustering.fold_small_clusters(
+            clustering.ClusterAssignment(dend.cut(chosen)), min_size
         )
         labels = {i: int(c) for i, c in zip(corpus.ids, assignment.labels)}
-        chosen = max(sorted(profile), key=lambda k: (profile[k], -k))
         summary = {
             "source": "dunn",
             "metric": metric,
@@ -256,7 +256,7 @@ def _sweep_grid(
     base: synth.SynthesisConfig, deltas: list[int], orders: list[int]
 ) -> list[synth.SynthesisConfig]:
     """Every (delta, order) cell's config, validated before any cell runs."""
-    return [replace(base, delta=int(d), order=int(o)) for d in deltas for o in orders]
+    return [replace(base, delta=d, order=o) for d in deltas for o in orders]
 
 
 def _stage_sweep(
@@ -420,7 +420,7 @@ def _synth_settings(args, corpus: Corpus, delta: int | None = None):
     weights = (
         _parse_float_list(args.weights) if args.weights is not None else file_weights
     )
-    return config, int(count), weights
+    return config, count, weights
 
 
 def _load_assignment(args, corpus: Corpus):
@@ -596,8 +596,8 @@ def cmd_pipeline(args) -> int:
     if sweep_cfg:
         sweep_grid = _sweep_grid(
             base_config,
-            [int(d) for d in sweep_cfg.get("deltas", [30, 60, 120])],
-            [int(o) for o in sweep_cfg.get("orders", [1, 2])],
+            sweep_cfg.get("deltas", [30, 60, 120]),
+            sweep_cfg.get("orders", [1, 2]),
         )
 
     t0 = time.perf_counter()

@@ -28,6 +28,8 @@ __all__ = [
     "dunn_index",
     "dunn_profile",
     "select_clusters",
+    "best_dunn_k",
+    "fold_small_clusters",
     "sample_cluster",
     "LINKAGES",
 ]
@@ -37,7 +39,7 @@ LINKAGES = ("complete", "average")
 
 @dataclass(frozen=True, eq=False)
 class DistanceMatrix:
-    """Symmetric non-negative distances with a zero diagonal."""
+    """Finite, symmetric, non-negative distances with a zero diagonal."""
 
     values: np.ndarray
 
@@ -45,6 +47,8 @@ class DistanceMatrix:
         arr = np.array(self.values, dtype=np.float64, copy=True)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DataFormatError("distance matrix must be square")
+        if not np.isfinite(arr).all():
+            raise DataFormatError("distances must be finite (no NaN or inf)")
         if not np.allclose(arr, arr.T, rtol=0.0, atol=1e-9):
             raise DataFormatError("distance matrix must be symmetric")
         if np.diagonal(arr).any():
@@ -219,9 +223,21 @@ def pairwise_distance(corpus: Corpus, metric: str = "hamming") -> DistanceMatrix
 def hierarchical_cluster(dmat: DistanceMatrix, linkage: str = "complete") -> Dendrogram:
     """Agglomerative merge tree under complete or average linkage.
 
-    Greedy globally-minimal merges with Lance-Williams distance updates.
-    Ties are broken by the lexicographically smallest (id-a, id-b) pair,
-    which makes the tree deterministic on integer-valued distances.
+    Each step merges the globally closest pair; ties go to the
+    lexicographically smallest (id-a, id-b) pair, which makes the tree
+    deterministic on integer-valued distances.  Merged distances follow
+    the Lance-Williams update.
+
+    This is the generic algorithm with cached nearest neighbours
+    (Müllner 2011, arXiv:1109.2378).  Each live row caches its nearest
+    partner among the clusters live at its last refresh (ties to the
+    smallest id); a merge refreshes only the merged row and the rows
+    whose partner it absorbed.  Every live pair lies in the cache scope
+    of whichever of its rows was refreshed later, so the minimum
+    ``(height, id-a, id-b)`` over cached rows is the global one.  Time
+    is O(n^2) when few rows share a partner and O(n^3) at worst (all
+    distances equal); memory is the one n x n float64 working copy plus
+    O(n) vectors.
     """
     if linkage not in LINKAGES:
         raise ConfigError(f"unsupported linkage {linkage!r}")
@@ -229,27 +245,25 @@ def hierarchical_cluster(dmat: DistanceMatrix, linkage: str = "complete") -> Den
     if n < 2:
         raise DataFormatError("need at least two observations to cluster")
 
+    # rows and columns of merged-away clusters, and the diagonal, hold inf
     d = dmat.values.copy()
     np.fill_diagonal(d, np.inf)
     ids = np.arange(n, dtype=np.int64)
     sizes = np.ones(n, dtype=np.int64)
+    live = np.ones(n, dtype=bool)
+    # ids equal positions here, so argmin's first hit is the smallest id
+    nn = d.argmin(axis=1)
+    nn_dist = d[np.arange(n), nn]
     merges: list[tuple[int, int, float]] = []
 
     for step in range(n - 1):
-        height = d.min()
-        tied = np.argwhere(d == height)
-        best_pos = None
-        best_key = None
-        for i, j in tied:
-            if i >= j:
-                continue
-            a, b = int(ids[i]), int(ids[j])
-            key = (a, b) if a < b else (b, a)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_pos = (int(i), int(j))
-        i, j = best_pos
-        merges.append((best_key[0], best_key[1], float(height)))
+        height = nn_dist[live].min()
+        rows = np.flatnonzero(live & (nn_dist == height))
+        a = np.minimum(ids[rows], ids[nn[rows]])
+        b = np.maximum(ids[rows], ids[nn[rows]])
+        pick = np.lexsort((b, a))[0]
+        i, j = int(rows[pick]), int(nn[rows[pick]])
+        merges.append((int(a[pick]), int(b[pick]), float(height)))
 
         if linkage == "complete":
             row = np.maximum(d[i], d[j])
@@ -263,8 +277,30 @@ def hierarchical_cluster(dmat: DistanceMatrix, linkage: str = "complete") -> Den
         d[:, j] = np.inf
         sizes[i] += sizes[j]
         ids[i] = n + step
+        live[j] = False
+
+        # rows whose partner changed or died, row i among them since it
+        # cached j; other rows keep their cache even when the merged
+        # cluster is now closer, because the merged row holds that pair
+        stale = live & ((nn == i) | (nn == j))
+        _refresh_nearest(d, ids, nn, nn_dist, np.flatnonzero(stale))
 
     return Dendrogram(tuple(merges), n)
+
+
+# rows refreshed per vectorized pass, so temporaries stay O(n), not n x n
+_REFRESH_ROWS = 64
+
+
+def _refresh_nearest(d, ids, nn, nn_dist, rows) -> None:
+    """Recompute the nearest live partner of ``rows``, ties to the smallest id."""
+    for start in range(0, rows.size, _REFRESH_ROWS):
+        block = rows[start : start + _REFRESH_ROWS]
+        sub = d[block]
+        low = sub.min(axis=1)
+        tied_ids = np.where(sub == low[:, None], ids, np.iinfo(np.int64).max)
+        nn[block] = tied_ids.argmin(axis=1)
+        nn_dist[block] = low
 
 
 def dunn_index(dmat: DistanceMatrix, assignment: ClusterAssignment) -> float:
@@ -311,19 +347,27 @@ def select_clusters(
 ) -> ClusterAssignment:
     """Pick the cut with the best Dunn index, then fold small clusters.
 
-    Ties go to the smallest k.  Clusters smaller than ``min_size``
-    (default: 5% of the corpus, at least 1) are merged into a single
-    catch-all group, relabelled as the last cluster index.
+    Ties go to the smallest k (``best_dunn_k``); clusters smaller than
+    ``min_size`` are folded by ``fold_small_clusters``.
     """
     profile = dunn_profile(dend, dmat, k_range)
-    best_k = None
-    best_value = -math.inf
-    for k in sorted(profile):
-        if profile[k] > best_value:
-            best_value = profile[k]
-            best_k = k
-    assignment = ClusterAssignment(dend.cut(best_k))
+    return fold_small_clusters(ClusterAssignment(dend.cut(best_dunn_k(profile))), min_size)
 
+
+def best_dunn_k(profile: dict[int, float]) -> int:
+    """The k with the largest Dunn index; ties go to the smallest k."""
+    return max(profile, key=lambda k: (profile[k], -k))
+
+
+def fold_small_clusters(
+    assignment: ClusterAssignment, min_size: int | None = None
+) -> ClusterAssignment:
+    """Merge clusters smaller than ``min_size`` into one catch-all group.
+
+    ``min_size`` defaults to 5% of the corpus, at least 1.  The catch-all
+    is relabelled as the last cluster index; kept clusters keep their
+    order.
+    """
     n = assignment.n
     if min_size is None:
         min_size = max(1, math.ceil(0.05 * n))

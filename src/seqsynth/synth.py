@@ -102,6 +102,8 @@ class SynthesisConfig:
     duration_pool: str = "window"
 
     def __post_init__(self):
+        for name in ("delta", "order", "target_length", "seed"):
+            _require_int(name, getattr(self, name))
         if self.target_length < 1:
             raise ConfigError("target_length must be positive")
         # the buffer holds an (n_sequences, delta) array, so delta is bounded
@@ -118,10 +120,16 @@ class SynthesisConfig:
             raise ConfigError("kde bandwidth must be positive")
         if self.buffer not in BUFFERS:
             raise ConfigError(f"unknown buffer strategy {self.buffer!r}")
-        if not isinstance(self.seed, int) or self.seed < 0 or self.seed >= 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be a non-negative 64-bit integer")
         if self.duration_pool not in DURATION_POOLS:
             raise ConfigError(f"unknown duration pool {self.duration_pool!r}")
+
+
+def _require_int(name: str, value) -> None:
+    """Reject anything but a true ``int``: no bools, floats or strings."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 def config_from_dict(data: Mapping) -> tuple[SynthesisConfig, int | None, list | None]:
@@ -134,18 +142,19 @@ def config_from_dict(data: Mapping) -> tuple[SynthesisConfig, int | None, list |
             bandwidth = float(rule)
         sampler = sampler.get("type", "direct")
     cfg = SynthesisConfig(
-        delta=int(data.get("delta", 60)),
-        order=int(data.get("order", 1)),
-        target_length=int(data.get("target_length", 1440)),
+        delta=data.get("delta", 60),
+        order=data.get("order", 1),
+        target_length=data.get("target_length", 1440),
         sampler=str(sampler),
         kde_bandwidth=bandwidth,
         buffer=str(data.get("buffer", "tvmc")),
-        seed=int(data.get("seed", 0)),
+        seed=data.get("seed", 0),
         duration_pool=str(data.get("duration_pool", "window")),
     )
     count = data.get("count")
-    weights = data.get("weights")
-    return cfg, (None if count is None else int(count)), weights
+    if count is not None:
+        _require_int("count", count)
+    return cfg, count, data.get("weights")
 
 
 def config_to_dict(
@@ -285,17 +294,16 @@ class _Block(NamedTuple):
     durations: np.ndarray
     prev2: np.ndarray
     prev3: np.ndarray
-    sources: np.ndarray
 
 
 class CandidateIndex:
     """Observed transitions keyed by the immediately preceding state.
 
     One record exists per episode that has a predecessor: its state,
-    duration, start time, up to two further preceding states (-1 when
-    the episode is too close to the start of its sequence), and the
-    source sequence position.  Records are sorted by start time within
-    each preceding-state block so a window query is two binary searches.
+    duration, start time, and up to two further preceding states (-1 when
+    the episode is too close to the start of its sequence).  Records are
+    sorted by start time within each preceding-state block so a window
+    query is two binary searches.
     """
 
     def __init__(self, blocks: dict[int, _Block], n_states: int, horizon: int, delta: int):
@@ -352,8 +360,8 @@ def build_index(corpus: Corpus, delta: int) -> CandidateIndex:
     """Index every transition in the corpus for windowed lookup."""
     if len(corpus) == 0:
         raise DataFormatError("cannot index an empty corpus")
-    starts_l, next_l, dur_l, prev1_l, prev2_l, prev3_l, src_l = ([] for _ in range(7))
-    for si, seq in enumerate(corpus.sequences):
+    starts_l, next_l, dur_l, prev1_l, prev2_l, prev3_l = ([] for _ in range(6))
+    for seq in corpus.sequences:
         ep_starts, ep_durs = run_bounds(seq.states)
         m = ep_starts.size
         if m < 2:
@@ -368,7 +376,6 @@ def build_index(corpus: Corpus, delta: int) -> CandidateIndex:
         prev3_l.append(
             np.concatenate((pad, pad, ep_states[: max(m - 3, 0)]))[: m - 1]
         )
-        src_l.append(np.full(m - 1, si, dtype=np.int64))
 
     blocks: dict[int, _Block] = {}
     if starts_l:
@@ -378,10 +385,9 @@ def build_index(corpus: Corpus, delta: int) -> CandidateIndex:
         prev1 = np.concatenate(prev1_l)
         prev2 = np.concatenate(prev2_l)
         prev3 = np.concatenate(prev3_l)
-        src = np.concatenate(src_l)
         order = np.lexsort((starts, prev1))
-        starts, nxt, dur, prev1, prev2, prev3, src = (
-            a[order] for a in (starts, nxt, dur, prev1, prev2, prev3, src)
+        starts, nxt, dur, prev1, prev2, prev3 = (
+            a[order] for a in (starts, nxt, dur, prev1, prev2, prev3)
         )
         for state in np.unique(prev1):
             lo = int(np.searchsorted(prev1, state, side="left"))
@@ -392,7 +398,6 @@ def build_index(corpus: Corpus, delta: int) -> CandidateIndex:
                 dur[lo:hi],
                 prev2[lo:hi],
                 prev3[lo:hi],
-                src[lo:hi],
             )
     return CandidateIndex(blocks, corpus.alphabet.size, corpus.length, delta)
 

@@ -226,6 +226,23 @@ class TestSynth:
         assert prov["config"]["delta"] == 1460
 
 
+    @pytest.mark.parametrize(
+        "file_cfg", [{"order": 2.5}, {"delta": True}, {"seed": 1.7}, {"count": 2.5}]
+    )
+    def test_non_integer_config_value_is_config_error(
+        self, tmp_path, corpus_csv, capsys, file_cfg
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"delta": 10, "seed": 3, **file_cfg}))
+        out = tmp_path / "out"
+        code = run_cli("synth", "--corpus", corpus_csv, "--config", cfg, "--output", out)
+        assert code == cli.EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert f"{next(iter(file_cfg))} must be an integer" in err["message"]
+        assert not (out / "synth.csv").exists()
+
+
 class TestEval:
     def test_self_eval_trivial(self, tmp_path, corpus_csv):
         out = tmp_path / "out"
@@ -383,6 +400,30 @@ class TestPipeline:
         code = run_cli("pipeline", "--config", cfg, "--output", out)
         assert code == cli.EXIT_CONFIG
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        assert not (out / "synth").exists()
+
+    @pytest.mark.parametrize(
+        "synth_cfg, sweep_cfg",
+        [
+            ({"seed": 1.7}, None),
+            ({"seed": 16, "count": 2.0}, None),
+            ({"seed": 16}, {"deltas": [5.5], "orders": [1]}),
+        ],
+    )
+    def test_non_integer_value_fails_before_any_stage(
+        self, tmp_path, short_day_csv, capsys, synth_cfg, sweep_cfg
+    ):
+        cfg = {"input": {"path": str(short_day_csv)}, "synth": {"delta": 5, **synth_cfg}}
+        if sweep_cfg is not None:
+            cfg["sweep"] = sweep_cfg
+        path = tmp_path / "pipeline.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        code = run_cli("pipeline", "--config", path, "--output", out)
+        assert code == cli.EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "must be an integer" in err["message"]
         assert not (out / "synth").exists()
 
     def test_missing_config_is_config_error(self, tmp_path, capsys):

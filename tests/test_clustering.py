@@ -69,6 +69,20 @@ class TestPairwiseDistance:
             pairwise_distance(corpus)
 
 
+class TestDistanceMatrix:
+    def test_infinite_distance_rejected(self):
+        inf = math.inf
+        values = [[0, 1, inf, inf], [1, 0, inf, inf], [inf, inf, 0, 2], [inf, inf, 2, 0]]
+        with pytest.raises(DataFormatError, match="finite"):
+            DistanceMatrix(values)
+
+    def test_nan_rejected_as_non_finite(self):
+        values = np.zeros((3, 3))
+        values[0, 1] = values[1, 0] = np.nan
+        with pytest.raises(DataFormatError, match="finite"):
+            DistanceMatrix(values)
+
+
 class TestHierarchicalCluster:
     def test_line_merge_order(self):
         # {0,1} then {10,11} merge first under complete linkage

@@ -611,6 +611,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match="delta"):
             config_from_dict({"delta": 1_000_000})
 
+    @pytest.mark.parametrize("field", ["delta", "order", "target_length", "seed"])
+    @pytest.mark.parametrize("value", [True, 2.0, 2.5, "2"])
+    def test_integer_fields_reject_non_int(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            SynthesisConfig(**{"delta": 1, field: value})
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            config_from_dict({"delta": 1, field: value})
+
+    @pytest.mark.parametrize("value", [True, 5.0, 1.7, "5"])
+    def test_dict_count_not_truncated(self, value):
+        with pytest.raises(ConfigError, match="count must be an integer"):
+            config_from_dict({"count": value})
+
     def test_json_round_trip(self):
         config = SynthesisConfig(
             delta=30, order=2, target_length=720, sampler="kde",
