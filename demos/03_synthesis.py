@@ -17,7 +17,7 @@ import numpy as np
 from seqsynth import (
     SynthesisConfig,
     discretize_corpus,
-    rle_encode,
+    episode_table,
     smooth_rolling,
     synthesize_batch,
 )
@@ -37,16 +37,22 @@ config = SynthesisConfig(
     seed=20260808,
 )
 
+
+def episodes_per_day(c):
+    rows = episode_table(c.states_matrix)[0]
+    return np.bincount(rows, minlength=len(c))
+
+
 print(f"source corpus: {len(corpus)} days x {corpus.length} minutes")
 for engine in ("paired-mc", "tvmc"):
     out, provenance = synthesize_batch(corpus, config, count=len(corpus), engine=engine)
-    episode_counts = [len(rle_encode(s)) for s in out.sequences]
+    episode_counts = episodes_per_day(out)
     print(f"\n{engine}: synthesized {len(out)} sequences")
     print(f"  episodes/day: mean {np.mean(episode_counts):.1f}, "
           f"sd {np.std(episode_counts, ddof=1):.1f}")
     print(f"  fallbacks: {provenance.fallback_totals()}")
 
-source_counts = [len(rle_encode(s)) for s in corpus.sequences]
+source_counts = episodes_per_day(corpus)
 print(f"\nsource episodes/day for comparison: mean {np.mean(source_counts):.1f}, "
       f"sd {np.std(source_counts, ddof=1):.1f}")
 

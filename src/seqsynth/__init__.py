@@ -18,6 +18,7 @@ from .core import (
     StateAlphabet,
     discretize,
     discretize_corpus,
+    episode_table,
     rle_decode,
     rle_encode,
     smooth_rolling,

@@ -426,11 +426,8 @@ def _synth_settings(args, corpus: Corpus, delta: int | None = None):
 def _load_assignment(args, corpus: Corpus):
     if getattr(args, "assignment", None) is None:
         return None
-    labels = seqio.load_cluster_labels(args.assignment)
-    missing = [i for i in corpus.ids if i not in labels]
-    if missing:
-        raise DataFormatError(f"assignment missing ids: {missing[:5]}")
-    return {i: labels[i] for i in corpus.ids}
+    # synthesize_batch rejects a file that misses any corpus id
+    return seqio.load_cluster_labels(args.assignment)
 
 
 def cmd_synth(args) -> int:
@@ -530,6 +527,24 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _check_pipeline_ints(pre: dict, cluster_cfg: dict, workers) -> None:
+    """Type-check the pipeline's own integer fields before any stage runs."""
+    required = [
+        ("preprocess.interval_minutes", pre.get("interval_minutes", 1)),
+        ("synth.workers", workers),
+    ]
+    optional = [
+        ("preprocess.smooth_window", pre.get("smooth_window")),
+        ("cluster.min_size", cluster_cfg.get("min_size")),
+    ]
+    k_range = cluster_cfg.get("k_range", [2, 10])
+    if not isinstance(k_range, (list, tuple)) or len(k_range) != 2:
+        raise ConfigError(f"cluster.k_range must be two integers, got {k_range!r}")
+    required += [("cluster.k_range", k) for k in k_range]
+    for name, value in required + [f for f in optional if f[1] is not None]:
+        synth._require_int(name, value)
+
+
 def cmd_pipeline(args) -> int:
     cfg_path = Path(args.config)
     cfg = _load_json_config(cfg_path)
@@ -548,11 +563,17 @@ def cmd_pipeline(args) -> int:
     cfg_hash = _config_hash(cfg)
     timings: dict[str, float] = {}
 
-    t0 = time.perf_counter()
     input_cfg = cfg.get("input", {})
     if not input_cfg.get("path"):
         raise ConfigError("pipeline config requires input.path")
     pre = cfg.get("preprocess", {})
+    cluster_cfg = cfg.get("cluster", {})
+    synth_cfg = dict(cfg.get("synth", {}))
+    engines = synth_cfg.pop("engines", ["paired-mc", "tvmc"])
+    file_workers = synth_cfg.pop("workers", 1)
+    _check_pipeline_ints(pre, cluster_cfg, file_workers)
+
+    t0 = time.perf_counter()
     corpus = _stage_ingest(
         _path(input_cfg["path"]),
         input_cfg.get("format", seqio.INTERVAL),
@@ -560,13 +581,12 @@ def cmd_pipeline(args) -> int:
         pre.get("smooth_window"),
         pre.get("thresholds"),
         pre.get("on_missing", "error"),
-        int(pre.get("interval_minutes", 1)),
+        pre.get("interval_minutes", 1),
         cfg_hash,
     )
     timings["ingest"] = time.perf_counter() - t0
 
     assignment = None
-    cluster_cfg = cfg.get("cluster", {})
     if cluster_cfg.get("enabled", False):
         t0 = time.perf_counter()
         labels_path = cluster_cfg.get("labels_path")
@@ -582,10 +602,7 @@ def cmd_pipeline(args) -> int:
         )
         timings["cluster"] = time.perf_counter() - t0
 
-    synth_cfg = dict(cfg.get("synth", {}))
-    engines = synth_cfg.pop("engines", ["paired-mc", "tvmc"])
-    file_workers = synth_cfg.pop("workers", 1)
-    workers = int(args.workers if args.workers is not None else file_workers)
+    workers = args.workers if args.workers is not None else file_workers
     base_config, count, weights = synth.config_from_dict(
         {**synth_cfg, "target_length": corpus.length}
     )

@@ -7,15 +7,22 @@ through :func:`rle_encode` / :func:`rle_decode`.  Continuous series
 (e.g. accelerometer counts per minute) become interval sequences via
 rolling-mean smoothing and threshold discretization.
 
+A :class:`Corpus` stores its sequences as one read-only (n_sequences,
+length) matrix of small integers (``StateAlphabet.cell_dtype``) plus
+one id per row; :func:`episode_table` lists the episodes of every row
+at once.  The single-sequence types (:class:`IntervalSequence`,
+:class:`EpisodeSequence`) serve callers that handle one day at a time.
+
 All types are immutable after construction and safe to share across
 workers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -31,6 +38,7 @@ __all__ = [
     "rle_encode",
     "rle_decode",
     "run_bounds",
+    "episode_table",
     "smooth_rolling",
     "discretize",
     "discretize_corpus",
@@ -64,6 +72,12 @@ class StateAlphabet:
     def size(self) -> int:
         return len(self.labels)
 
+    @property
+    def cell_dtype(self) -> np.dtype:
+        """Smallest signed integer type that holds every state index."""
+        # a signed type holds size - 1 exactly when it holds -size
+        return np.min_scalar_type(-self.size)
+
     @cached_property
     def _lookup(self) -> dict[str, int]:
         return {lab: i for i, lab in enumerate(self.labels)}
@@ -82,11 +96,6 @@ class StateAlphabet:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    @classmethod
-    def from_observed(cls, labels: Iterable[str]) -> "StateAlphabet":
-        """Alphabet from the set of observed labels, sorted for determinism."""
-        return cls(tuple(sorted(set(labels))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,98 +212,68 @@ class ContinuousSeries:
 
 @dataclass(frozen=True, eq=False)
 class Corpus:
-    """Aligned interval sequences sharing one alphabet.
+    """Aligned sequences sharing one alphabet, stored as one matrix.
 
-    Every sequence must carry a unique id and all sequences must have the
-    same length and interval duration.  ``cluster_labels``, when present,
-    maps every sequence id to a cluster index.
+    ``states_matrix`` is a read-only (n_sequences, length) array of
+    alphabet indices in ``alphabet.cell_dtype``, validated once, here;
+    row i is the sequence whose id is ``ids[i]``.  Ids are unique
+    strings, one per row, and all sequences share ``interval_minutes``.
+    An empty corpus has shape (0, 0), so its ``length`` is 0.
     """
 
     alphabet: StateAlphabet
-    sequences: tuple[IntervalSequence, ...]
-    cluster_labels: Mapping[str, int] | None = None
+    states_matrix: np.ndarray
+    ids: tuple[str, ...]
+    interval_minutes: int = 1
 
     def __post_init__(self):
-        seqs = tuple(self.sequences)
-        object.__setattr__(self, "sequences", seqs)
-        ids = [s.id for s in seqs]
-        if any(i is None for i in ids):
-            raise DataFormatError("every corpus sequence must have an id")
+        raw = np.asarray(self.states_matrix)
+        if raw.ndim != 2:
+            raise DataFormatError("corpus states must be a 2-D (sequence, interval) matrix")
+        if raw.shape[0] == 0:
+            raw = raw.reshape(0, 0)
+        elif raw.shape[1] == 0:
+            raise DataFormatError("corpus sequences must be non-empty")
+        ids = tuple(self.ids)
+        if len(ids) != raw.shape[0]:
+            raise DataFormatError(f"{len(ids)} ids given for {raw.shape[0]} sequences")
         if len(set(ids)) != len(ids):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
+            dupes = sorted(i for i, c in Counter(ids).items() if c > 1)
             raise DataFormatError(f"duplicate sequence ids: {dupes[:5]}")
-        if seqs:
-            n = len(seqs[0])
-            im = seqs[0].interval_minutes
-            for s in seqs:
-                if len(s) != n:
-                    raise DataFormatError(
-                        f"sequence {s.id!r} has length {len(s)}, expected {n}"
-                    )
-                if s.interval_minutes != im:
-                    raise DataFormatError("sequences disagree on interval_minutes")
-                if s.states.max() >= self.alphabet.size:
-                    raise DataFormatError(
-                        f"sequence {s.id!r} uses a state outside the alphabet"
-                    )
-        if self.cluster_labels is not None:
-            labels = dict(self.cluster_labels)
-            missing = [i for i in ids if i not in labels]
-            if missing:
-                raise DataFormatError(f"cluster labels missing for ids: {missing[:5]}")
-            extra = sorted(set(labels) - set(ids))
-            if extra:
-                raise DataFormatError(f"cluster labels for unknown ids: {extra[:5]}")
-            if any(int(v) < 0 for v in labels.values()):
-                raise DataFormatError("cluster labels must be non-negative")
-            object.__setattr__(self, "cluster_labels", labels)
+        if self.interval_minutes < 1:
+            raise DataFormatError("interval_minutes must be positive")
+        size = self.alphabet.size
+        if raw.size and not (raw.min() >= 0 and raw.max() < size):
+            bad = int(((raw < 0) | (raw >= size)).any(axis=1).argmax())
+            raise DataFormatError(f"sequence {ids[bad]!r} uses a state outside the alphabet")
+        mat = np.array(raw, dtype=self.alphabet.cell_dtype)
+        mat.setflags(write=False)
+        object.__setattr__(self, "states_matrix", mat)
+        object.__setattr__(self, "ids", ids)
 
     def __len__(self) -> int:
-        return len(self.sequences)
+        return self.states_matrix.shape[0]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Corpus):
             return NotImplemented
-        return (
-            self.alphabet == other.alphabet
-            and self.sequences == other.sequences
-            and self.cluster_labels == other.cluster_labels
+        same = (self.alphabet, self.ids, self.interval_minutes) == (
+            other.alphabet, other.ids, other.interval_minutes
         )
+        return same and np.array_equal(self.states_matrix, other.states_matrix)
 
     __hash__ = None  # type: ignore[assignment]
 
     @property
     def length(self) -> int:
         """Number of intervals per sequence (0 for an empty corpus)."""
-        return len(self.sequences[0]) if self.sequences else 0
-
-    @property
-    def interval_minutes(self) -> int:
-        return self.sequences[0].interval_minutes if self.sequences else 1
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(s.id for s in self.sequences)
-
-    @cached_property
-    def states_matrix(self) -> np.ndarray:
-        """All sequences stacked as an (n_sequences, length) readonly array."""
-        if not self.sequences:
-            return _frozen_array(np.empty((0, 0)), np.int64)
-        mat = np.vstack([s.states for s in self.sequences])
-        mat.setflags(write=False)
-        return mat
+        return self.states_matrix.shape[1]
 
     def subset(self, indices: Sequence[int]) -> "Corpus":
-        """Sub-corpus of the given sequence positions, preserving labels."""
-        seqs = tuple(self.sequences[int(i)] for i in indices)
-        labels = None
-        if self.cluster_labels is not None:
-            labels = {s.id: self.cluster_labels[s.id] for s in seqs}
-        return Corpus(self.alphabet, seqs, labels)
-
-    def with_cluster_labels(self, labels: Mapping[str, int] | None) -> "Corpus":
-        return Corpus(self.alphabet, self.sequences, labels)
+        """Sub-corpus of the given sequence positions, in the given order."""
+        idx = np.asarray(indices, dtype=np.intp).reshape(-1)
+        ids = tuple(self.ids[i] for i in idx)
+        return replace(self, states_matrix=self.states_matrix[idx], ids=ids)
 
     @classmethod
     def from_arrays(
@@ -308,13 +287,40 @@ class Corpus:
         if ids is None:
             ids = [f"seq-{i:05d}" for i in range(len(arrays))]
         elif len(ids) != len(arrays):
-            raise DataFormatError(
-                f"{len(ids)} ids given for {len(arrays)} sequences"
-            )
-        seqs = tuple(
-            IntervalSequence(a, interval_minutes, str(i)) for a, i in zip(arrays, ids)
-        )
-        return cls(alphabet, seqs)
+            raise DataFormatError(f"{len(ids)} ids given for {len(arrays)} sequences")
+        ids = tuple(str(i) for i in ids)
+        return cls(alphabet, _stack_rows(arrays, ids), ids, interval_minutes)
+
+
+def _stack_rows(rows: list, ids: Sequence[str]) -> np.ndarray:
+    """Equal-length 1-D rows, one per id, as one matrix; (0, 0) when there are none."""
+    rows = [np.asarray(r) for r in rows]
+    if not rows:
+        return np.empty((0, 0), dtype=np.int64)
+    n = rows[0].size
+    for sid, row in zip(ids, rows):
+        if row.shape != (n,):
+            raise DataFormatError(f"sequence {sid!r} has length {row.size}, expected {n}")
+    return np.stack(rows)
+
+
+def episode_table(matrix: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(row, start, state, duration) of every episode of a state matrix.
+
+    An episode is a maximal constant run within one row.  Episodes are
+    listed in row-major order (by row, then by start) as four int64
+    arrays; row i's episodes are exactly ``run_bounds(matrix[i])``.
+    """
+    mat = np.asarray(matrix)
+    n_rows, length = mat.shape
+    begins = np.empty(mat.shape, dtype=bool)
+    begins[:, :1] = True
+    np.not_equal(mat[:, 1:], mat[:, :-1], out=begins[:, 1:])
+    row, start = np.nonzero(begins)
+    # the next episode starts where this one ends, counted across rows
+    flat = row * length + start
+    duration = np.diff(flat, append=n_rows * length)
+    return row, start, mat[row, start].astype(np.int64), duration
 
 
 def run_bounds(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -380,12 +386,7 @@ def discretize(
     values in (0, 760] to "2", (760, 2020] to "3" and anything above
     2020 to "4".  The mapping is monotone in the input value.
     """
-    th = np.asarray(thresholds, dtype=np.float64)
-    if th.ndim != 1 or th.size == 0:
-        raise DataFormatError("thresholds must be a non-empty 1-D list")
-    if not (np.diff(th) > 0).all():
-        raise DataFormatError("thresholds must be strictly ascending")
-    states = np.searchsorted(th, series.values, side="left")
+    states = discretize_corpus([series], thresholds).states_matrix[0]
     return IntervalSequence(states, 1, series.id)
 
 
@@ -394,11 +395,20 @@ def discretize_corpus(
     thresholds: Sequence[float],
     interval_minutes: int = 1,
 ) -> Corpus:
-    """Discretize a batch of continuous series into one corpus."""
-    alphabet = threshold_alphabet(thresholds)
-    seqs = []
-    for i, series in enumerate(series_list):
-        iv = discretize(series, thresholds)
-        sid = series.id if series.id is not None else f"seq-{i:05d}"
-        seqs.append(IntervalSequence(iv.states, interval_minutes, sid))
-    return Corpus(alphabet, tuple(seqs))
+    """Discretize a batch of equal-length continuous series into one corpus."""
+    th = np.asarray(thresholds, dtype=np.float64)
+    if th.ndim != 1 or th.size == 0:
+        raise DataFormatError("thresholds must be a non-empty 1-D list")
+    if not (np.diff(th) > 0).all():
+        raise DataFormatError("thresholds must be strictly ascending")
+    series_list = list(series_list)
+    ids = tuple(
+        s.id if s.id is not None else f"seq-{i:05d}" for i, s in enumerate(series_list)
+    )
+    values = _stack_rows([s.values for s in series_list], ids)
+    return Corpus(
+        threshold_alphabet(thresholds),
+        np.searchsorted(th, values, side="left"),
+        ids,
+        interval_minutes,
+    )

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Corpus, IntervalSequence, run_bounds
+from .core import Corpus, IntervalSequence, episode_table
 from .errors import DataFormatError
 from .io import write_json
 
@@ -116,18 +116,6 @@ class DurationSample:
         object.__setattr__(self, "values", arr)
 
 
-def _episode_arrays(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
-    """(state, duration) of every episode in the corpus, concatenated."""
-    states_l, durs_l = [], []
-    for seq in corpus.sequences:
-        starts, lengths = run_bounds(seq.states)
-        states_l.append(seq.states[starts])
-        durs_l.append(lengths)
-    if not states_l:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    return np.concatenate(states_l), np.concatenate(durs_l)
-
-
 def episode_durations(
     corpus: Corpus, state: str, mode: str = "individual", exclude_zero: bool = False
 ) -> DurationSample:
@@ -139,7 +127,7 @@ def episode_durations(
     """
     idx = corpus.alphabet.index(state)
     if mode == "individual":
-        ep_states, ep_durs = _episode_arrays(corpus)
+        _, _, ep_states, ep_durs = episode_table(corpus.states_matrix)
         values = ep_durs[ep_states == idx]
     elif mode == "combined":
         values = (corpus.states_matrix == idx).sum(axis=1)
@@ -150,15 +138,20 @@ def episode_durations(
     return DurationSample(state, mode, values)
 
 
-def sequence_entropy(seq: IntervalSequence) -> float:
-    """Shannon entropy (nats) of the sequence's state time shares."""
-    counts = np.bincount(seq.states)
-    shares = counts[counts > 0] / seq.states.size
+def _entropy(states: np.ndarray) -> float:
+    counts = np.bincount(states)
+    shares = counts[counts > 0] / states.size
     return float(-(shares * np.log(shares)).sum())
 
 
+def sequence_entropy(seq: IntervalSequence) -> float:
+    """Shannon entropy (nats) of the sequence's state time shares."""
+    return _entropy(seq.states)
+
+
 def corpus_entropies(corpus: Corpus) -> np.ndarray:
-    return np.array([sequence_entropy(s) for s in corpus.sequences])
+    """:func:`sequence_entropy` of every row of the corpus matrix."""
+    return np.array([_entropy(row) for row in corpus.states_matrix])
 
 
 def _mean_sd(values: np.ndarray) -> tuple[float, float]:
@@ -174,16 +167,12 @@ def episode_count_stats(
 
     Keys are ``Overall`` plus, when requested, each alphabet label.
     """
-    mat = corpus.states_matrix
-    counts = (mat[:, 1:] != mat[:, :-1]).sum(axis=1) + 1
-    out = {OVERALL: _mean_sd(counts)}
+    rows, _, states, _ = episode_table(corpus.states_matrix)
+    out = {OVERALL: _mean_sd(np.bincount(rows, minlength=len(corpus)))}
     if per_state:
         for idx, label in enumerate(corpus.alphabet.labels):
-            is_state = mat == idx
-            begins = np.empty_like(is_state)
-            begins[:, 0] = is_state[:, 0]
-            begins[:, 1:] = is_state[:, 1:] & ~is_state[:, :-1]
-            out[label] = _mean_sd(begins.sum(axis=1))
+            begins = rows[states == idx]
+            out[label] = _mean_sd(np.bincount(begins, minlength=len(corpus)))
     return out
 
 
@@ -330,7 +319,9 @@ def build_report(
         return zero_note
 
     corpora = {"original": original, **methods}
-    ep_arrays = {name: _episode_arrays(c) for name, c in corpora.items()}
+    ep_arrays = {
+        name: episode_table(c.states_matrix)[2:] for name, c in corpora.items()
+    }
 
     def individual_values(name: str, state: str | None) -> np.ndarray:
         ep_states, ep_durs = ep_arrays[name]

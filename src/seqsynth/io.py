@@ -23,13 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import (
-    ContinuousSeries,
-    Corpus,
-    IntervalSequence,
-    StateAlphabet,
-    rle_encode,
-)
+from .core import ContinuousSeries, Corpus, StateAlphabet, episode_table
 from .errors import ConfigError, DataFormatError
 
 INTERVAL = "interval"
@@ -79,7 +73,7 @@ def load_corpus(
     if not ids:
         raise DataFormatError(f"{path}: no sequences found")
 
-    observed = sorted({lab for row in label_rows for lab in row})
+    observed = sorted(set().union(*label_rows))
     if alphabet is None:
         alphabet = StateAlphabet(tuple(observed))
     else:
@@ -91,13 +85,16 @@ def load_corpus(
         if unknown:
             alphabet = StateAlphabet(alphabet.labels + tuple(unknown))
 
-    lookup = {lab: i for i, lab in enumerate(alphabet.labels)}
-    seqs = []
-    for sid, row in zip(ids, label_rows):
-        seqs.append(
-            IntervalSequence([lookup[lab] for lab in row], interval_minutes, sid)
-        )
-    return Corpus(alphabet, tuple(seqs))
+    lookup = {lab: i for i, lab in enumerate(alphabet.labels)}.__getitem__
+    width = len(label_rows[0])
+    mat = np.empty((len(ids), width), dtype=alphabet.cell_dtype)
+    for i, (sid, row) in enumerate(zip(ids, label_rows)):
+        if len(row) != width:
+            raise DataFormatError(
+                f"sequence {sid!r} has length {len(row)}, expected {width}"
+            )
+        mat[i] = list(map(lookup, row))
+    return Corpus(alphabet, mat, tuple(ids), interval_minutes)
 
 
 def _parse_interval(path) -> tuple[list[str], list[list[str]]]:
@@ -160,13 +157,13 @@ def save_corpus(corpus: Corpus, path, format: str = INTERVAL) -> None:
         w = _writer(fh)
         if format == INTERVAL:
             w.writerow(["id"] + [f"s{i + 1}" for i in range(corpus.length)])
-            for seq in corpus.sequences:
-                w.writerow([seq.id] + labels[seq.states].tolist())
+            for sid, row in zip(corpus.ids, corpus.states_matrix):
+                w.writerow([sid] + labels[row].tolist())
         elif format == EPISODE:
             w.writerow(["id", "state", "duration"])
-            for seq in corpus.sequences:
-                for ep in rle_encode(seq).episodes:
-                    w.writerow([seq.id, labels[ep.state], ep.duration])
+            rows, _, states, durations = episode_table(corpus.states_matrix)
+            ids = [corpus.ids[r] for r in rows.tolist()]
+            w.writerows(zip(ids, labels[states].tolist(), durations.tolist()))
         else:
             raise ConfigError(f"unknown corpus format {format!r}")
 

@@ -27,13 +27,13 @@ from __future__ import annotations
 import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .clustering import ClusterAssignment, ClusterWeights, sample_cluster
-from .core import Corpus, Episode, IntervalSequence, run_bounds
+from .core import Corpus, Episode, episode_table
 from .errors import ConfigError, DataFormatError
 
 __all__ = [
@@ -116,8 +116,7 @@ class SynthesisConfig:
             raise ConfigError(f"order must be in [1, {MAX_ORDER}]")
         if self.sampler not in SAMPLERS:
             raise ConfigError(f"unknown sampler {self.sampler!r}")
-        if self.kde_bandwidth is not None and not self.kde_bandwidth > 0:
-            raise ConfigError("kde bandwidth must be positive")
+        _check_bandwidth(self.kde_bandwidth)
         if self.buffer not in BUFFERS:
             raise ConfigError(f"unknown buffer strategy {self.buffer!r}")
         if not 0 <= self.seed < 2**64:
@@ -132,13 +131,33 @@ def _require_int(name: str, value) -> None:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_bandwidth(value) -> None:
+    """None (Silverman's rule) or a finite positive number."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if value is not None and not (number and math.isfinite(value) and value > 0):
+        raise ConfigError(f"kde bandwidth must be a finite positive number, got {value!r}")
+
+
+def _reject_unknown_keys(data: Mapping, known: Mapping, prefix: str = "") -> None:
+    unknown = sorted(prefix + str(k) for k in data if k not in known)
+    if unknown:
+        raise ConfigError(f"unknown synthesis config key(s): {', '.join(unknown)}")
+
+
 def config_from_dict(data: Mapping) -> tuple[SynthesisConfig, int | None, list | None]:
-    """Parse the JSON config mapping; returns (config, count, weights)."""
+    """Parse the JSON config mapping; returns (config, count, weights).
+
+    The accepted keys are exactly those :func:`config_to_dict` emits.
+    """
+    known = config_to_dict(SynthesisConfig(), count=0, weights=())
+    _reject_unknown_keys(data, known)
     sampler = data.get("sampler", "direct")
     bandwidth = None
     if isinstance(sampler, Mapping):
+        _reject_unknown_keys(sampler, known["sampler"], "sampler.")
         rule = sampler.get("bandwidth_rule", "silverman")
         if rule not in (None, "silverman"):
+            _check_bandwidth(rule)
             bandwidth = float(rule)
         sampler = sampler.get("type", "direct")
     cfg = SynthesisConfig(
@@ -251,11 +270,8 @@ class FirstEpisodeTable:
     """Empirical (state, duration) distribution of sequence-opening episodes."""
 
     def __init__(self, corpus: Corpus):
-        mat = corpus.states_matrix
-        n_seq, length = mat.shape
-        states = mat[:, 0]
-        changed = mat != mat[:, :1]
-        durations = np.where(changed.any(axis=1), changed.argmax(axis=1), length)
+        _, starts, states, durations = episode_table(corpus.states_matrix)
+        states, durations = states[starts == 0], durations[starts == 0]
         counts = np.bincount(states, minlength=corpus.alphabet.size)
         self.state_cum = counts.cumsum()
         order = np.argsort(states, kind="stable")
@@ -360,45 +376,29 @@ def build_index(corpus: Corpus, delta: int) -> CandidateIndex:
     """Index every transition in the corpus for windowed lookup."""
     if len(corpus) == 0:
         raise DataFormatError("cannot index an empty corpus")
-    starts_l, next_l, dur_l, prev1_l, prev2_l, prev3_l = ([] for _ in range(6))
-    for seq in corpus.sequences:
-        ep_starts, ep_durs = run_bounds(seq.states)
-        m = ep_starts.size
-        if m < 2:
-            continue
-        ep_states = seq.states[ep_starts]
-        starts_l.append(ep_starts[1:])
-        next_l.append(ep_states[1:])
-        dur_l.append(ep_durs[1:])
-        prev1_l.append(ep_states[:-1])
-        pad = np.full(1, -1, dtype=np.int64)
-        prev2_l.append(np.concatenate((pad, ep_states[: m - 2])))
-        prev3_l.append(
-            np.concatenate((pad, pad, ep_states[: max(m - 3, 0)]))[: m - 1]
-        )
+    rows, ep_starts, ep_states, ep_durs = episode_table(corpus.states_matrix)
 
+    def earlier(k: int) -> np.ndarray:
+        """State of the episode k before each one in its row, else -1."""
+        out = np.full(ep_states.size, -1, dtype=np.int64)
+        same_row = rows[k:] == rows[:-k]
+        out[k:][same_row] = ep_states[:-k][same_row]
+        return out
+
+    # one record per episode that has a predecessor, sorted by (prev1, start);
+    # the stable sort keeps ties in row-major order
+    prev1 = earlier(1)
+    records = np.flatnonzero(ep_starts > 0)
+    records = records[np.lexsort((ep_starts[records], prev1[records]))]
+    starts, nxt, dur, prev1, prev2, prev3 = (
+        a[records]
+        for a in (ep_starts, ep_states, ep_durs, prev1, earlier(2), earlier(3))
+    )
     blocks: dict[int, _Block] = {}
-    if starts_l:
-        starts = np.concatenate(starts_l)
-        nxt = np.concatenate(next_l)
-        dur = np.concatenate(dur_l)
-        prev1 = np.concatenate(prev1_l)
-        prev2 = np.concatenate(prev2_l)
-        prev3 = np.concatenate(prev3_l)
-        order = np.lexsort((starts, prev1))
-        starts, nxt, dur, prev1, prev2, prev3 = (
-            a[order] for a in (starts, nxt, dur, prev1, prev2, prev3)
-        )
-        for state in np.unique(prev1):
-            lo = int(np.searchsorted(prev1, state, side="left"))
-            hi = int(np.searchsorted(prev1, state, side="right"))
-            blocks[int(state)] = _Block(
-                starts[lo:hi],
-                nxt[lo:hi],
-                dur[lo:hi],
-                prev2[lo:hi],
-                prev3[lo:hi],
-            )
+    for state in np.unique(prev1):
+        lo = int(np.searchsorted(prev1, state, side="left"))
+        hi = int(np.searchsorted(prev1, state, side="right"))
+        blocks[int(state)] = _Block(*(a[lo:hi] for a in (starts, nxt, dur, prev2, prev3)))
     return CandidateIndex(blocks, corpus.alphabet.size, corpus.length, delta)
 
 
@@ -432,8 +432,7 @@ class DurationSampler:
     def __post_init__(self):
         if self.kind not in SAMPLERS:
             raise ConfigError(f"unknown sampler {self.kind!r}")
-        if self.bandwidth is not None and not self.bandwidth > 0:
-            raise ConfigError("kde bandwidth must be positive")
+        _check_bandwidth(self.bandwidth)
 
     def draw(self, durations: np.ndarray, rng: np.random.Generator) -> int:
         value = int(durations[rng.integers(durations.size)])
@@ -485,11 +484,7 @@ def extend_with_buffer(
         return corpus
     mat = corpus.states_matrix
     ext, _ = model.walk(mat[:, -1], corpus.length, rng.random((len(corpus), delta)))
-    out = []
-    for i, seq in enumerate(corpus.sequences):
-        states = np.concatenate((seq.states, ext[i]))
-        out.append(IntervalSequence(states, seq.interval_minutes, seq.id))
-    return Corpus(corpus.alphabet, tuple(out), corpus.cluster_labels)
+    return replace(corpus, states_matrix=np.hstack((mat, ext.astype(mat.dtype))))
 
 
 class SynthesisState:
@@ -667,13 +662,7 @@ class PairedMcEngine:
 
 def _all_day_durations(corpus: Corpus) -> dict[int, np.ndarray]:
     """Durations of every episode in the corpus, grouped by state."""
-    states_l, durs_l = [], []
-    for seq in corpus.sequences:
-        starts, lengths = run_bounds(seq.states)
-        states_l.append(seq.states[starts])
-        durs_l.append(lengths)
-    states = np.concatenate(states_l)
-    durs = np.concatenate(durs_l)
+    _, _, states, durs = episode_table(corpus.states_matrix)
     return {
         int(s): durs[states == s] for s in np.unique(states)
     }
@@ -817,13 +806,13 @@ _BLOCK_ROWS = 256
 _WINDOW_ROWS = 4 * _BLOCK_ROWS
 
 # one stacked matrix per chunk keeps inter-process transfer cheap
-_ChunkResult = tuple[list[int], list[int], np.ndarray, list[dict]]
+_ChunkResult = tuple[list[int], np.ndarray, list[dict]]
 
 
 def _worker_chunk(ordinals: Sequence[int]) -> _ChunkResult:
+    """(cluster, states row, fallbacks) of each ordinal, in the given order."""
     config = _WORKER["config"]
-    n_states = _WORKER["clusters"][0].alphabet.size
-    dtype = np.int16 if n_states < 2**15 else np.int64
+    dtype = _WORKER["clusters"][0].alphabet.cell_dtype
     ords = list(ordinals)
     clusters: list[int] = []
     states = np.empty((len(ords), config.target_length), dtype=dtype)
@@ -849,7 +838,7 @@ def _worker_chunk(ordinals: Sequence[int]) -> _ChunkResult:
                 for row, result in zip(block, results):
                     states[start + row] = result.states
                     fallbacks[start + row] = result.fallbacks
-    return ords, clusters, states, fallbacks
+    return clusters, states, fallbacks
 
 
 def _worker_init(clusters, config, engine_name, weights, draw_cluster) -> None:
@@ -912,9 +901,7 @@ def synthesize_batch(
         draw_cluster = True
 
     _worker_init(clusters, config, engine, cluster_weights, draw_cluster)
-    if count == 0:
-        chunk_results: list[_ChunkResult] = []
-    elif workers <= 1:
+    if workers <= 1 or count == 0:
         chunk_results = [_worker_chunk(range(count))]
     else:
         # build every engine before the pool starts so forked workers
@@ -939,22 +926,16 @@ def synthesize_batch(
             chunk_results = list(pool.map(_worker_chunk, chunks))
     _WORKER.clear()
 
-    results = [
-        (ordinal, cluster, states, fb)
-        for ords, clusts, matrix, fbs in chunk_results
-        for ordinal, cluster, states, fb in zip(ords, clusts, matrix, fbs)
+    # pool.map keeps chunk order, so the rows arrive in ordinal order
+    ids = tuple(f"{id_prefix}-{ordinal:06d}" for ordinal in range(count))
+    states = np.concatenate([chunk[1] for chunk in chunk_results])
+    drawn = (c for chunk in chunk_results for c in chunk[0])
+    fallbacks = (fb for chunk in chunk_results for fb in chunk[2])
+    provenance = [
+        SequenceProvenance(sid, ordinal, cluster, dict(fb))
+        for ordinal, (sid, cluster, fb) in enumerate(zip(ids, drawn, fallbacks))
     ]
-    results.sort(key=lambda r: r[0])
-    seqs = []
-    provenance = []
-    for ordinal, cluster, states, fallbacks in results:
-        sid = f"{id_prefix}-{ordinal:06d}"
-        seqs.append(IntervalSequence(states, corpus.interval_minutes, sid))
-        provenance.append(
-            SequenceProvenance(sid, ordinal, cluster, dict(fallbacks))
-        )
-    labels = {sp.id: sp.cluster for sp in provenance} if seqs else None
-    out_corpus = Corpus(corpus.alphabet, tuple(seqs), labels)
+    out_corpus = Corpus(corpus.alphabet, states, ids, corpus.interval_minutes)
     batch = BatchProvenance(
         engine,
         config,

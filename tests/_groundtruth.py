@@ -7,7 +7,7 @@ the day boundary, matching how real fixed-length traces truncate.
 
 import numpy as np
 
-from seqsynth import Corpus, StateAlphabet, rle_encode
+from seqsynth import Corpus, IntervalSequence, StateAlphabet, rle_encode
 
 ACTIVITY_LABELS = ("rest", "light", "moderate", "vigorous")
 
@@ -136,8 +136,8 @@ def bridge_conditional(corpus: Corpus, anchor: int, target: int) -> float:
     """Empirical P(next == target | current == bridge, previous == anchor)."""
     hits = 0
     total = 0
-    for seq in corpus.sequences:
-        eps = rle_encode(seq).episodes
+    for row in corpus.states_matrix:
+        eps = rle_encode(IntervalSequence(row)).episodes
         for i in range(2, len(eps)):
             if eps[i - 1].state == BRIDGE and eps[i - 2].state == anchor:
                 total += 1

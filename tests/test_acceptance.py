@@ -227,8 +227,8 @@ def test_criterion_2_round_trip_and_invariants(benchmark_corpus):
                 violations.append("KS transform invariance violated")
 
     # entropy bounds
-    for seq in benchmark_corpus.sequences[:500]:
-        h = sequence_entropy(seq)
+    for row in benchmark_corpus.states_matrix[:500]:
+        h = sequence_entropy(IntervalSequence(row))
         if not 0.0 <= h <= math.log(benchmark_corpus.alphabet.size) + 1e-12:
             violations.append("entropy out of bounds")
 

@@ -242,6 +242,18 @@ class TestSynth:
         assert f"{next(iter(file_cfg))} must be an integer" in err["message"]
         assert not (out / "synth.csv").exists()
 
+    def test_infinite_bandwidth_is_config_error(self, tmp_path, corpus_csv, capsys):
+        out = tmp_path / "out"
+        code = run_cli(
+            "synth", "--corpus", corpus_csv, "--sampler", "kde", "--bandwidth", "inf",
+            "--seed", 3, "--output", out,
+        )
+        assert code == cli.EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "finite positive" in err["message"]
+        assert not (out / "synth.csv").exists()
+
 
 class TestEval:
     def test_self_eval_trivial(self, tmp_path, corpus_csv):
@@ -403,17 +415,47 @@ class TestPipeline:
         assert not (out / "synth").exists()
 
     @pytest.mark.parametrize(
-        "synth_cfg, sweep_cfg",
+        "synth_cfg, sweep_cfg, other",
         [
-            ({"seed": 1.7}, None),
-            ({"seed": 16, "count": 2.0}, None),
-            ({"seed": 16}, {"deltas": [5.5], "orders": [1]}),
+            pytest.param({"seed": 1.7}, None, {}, id="synth_cfg0-None"),
+            pytest.param({"seed": 16, "count": 2.0}, None, {}, id="synth_cfg1-None"),
+            pytest.param(
+                {"seed": 16}, {"deltas": [5.5], "orders": [1]}, {},
+                id="synth_cfg2-sweep_cfg2",
+            ),
+            pytest.param(
+                {"seed": 16}, None, {"cluster": {"enabled": True, "min_size": "5"}},
+                id="cluster-min_size-str",
+            ),
+            pytest.param(
+                {"seed": 16}, None, {"cluster": {"enabled": True, "k_range": [2, "6"]}},
+                id="cluster-k_range-str",
+            ),
+            pytest.param(
+                {"seed": 16}, None, {"cluster": {"enabled": True, "k_range": [2.5, 6]}},
+                id="cluster-k_range-float",
+            ),
+            pytest.param(
+                {"seed": 16}, None, {"preprocess": {"smooth_window": "5"}},
+                id="preprocess-smooth_window-str",
+            ),
+            pytest.param(
+                {"seed": 16}, None, {"preprocess": {"interval_minutes": "x"}},
+                id="preprocess-interval_minutes-str",
+            ),
+            pytest.param(
+                {"seed": 16, "workers": "x"}, None, {}, id="synth-workers-str"
+            ),
         ],
     )
     def test_non_integer_value_fails_before_any_stage(
-        self, tmp_path, short_day_csv, capsys, synth_cfg, sweep_cfg
+        self, tmp_path, short_day_csv, capsys, synth_cfg, sweep_cfg, other
     ):
-        cfg = {"input": {"path": str(short_day_csv)}, "synth": {"delta": 5, **synth_cfg}}
+        cfg = {
+            "input": {"path": str(short_day_csv)},
+            "synth": {"delta": 5, **synth_cfg},
+            **other,
+        }
         if sweep_cfg is not None:
             cfg["sweep"] = sweep_cfg
         path = tmp_path / "pipeline.json"
@@ -424,6 +466,38 @@ class TestPipeline:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
         assert "must be an integer" in err["message"]
+        assert not (out / "synth").exists()
+
+    @pytest.mark.parametrize("k_range", [[2], [2, 4, 6], "2:6"])
+    def test_k_range_must_be_two_ints(self, tmp_path, short_day_csv, capsys, k_range):
+        cfg = {
+            "input": {"path": str(short_day_csv)},
+            "cluster": {"enabled": True, "k_range": k_range},
+            "synth": {"delta": 5, "seed": 16},
+        }
+        path = tmp_path / "pipeline.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        code = run_cli("pipeline", "--config", path, "--output", out)
+        assert code == cli.EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "k_range must be two integers" in err["message"]
+        assert not (out / "ingest").exists()
+
+    def test_unknown_synth_key_is_config_error(self, tmp_path, short_day_csv, capsys):
+        cfg = {
+            "input": {"path": str(short_day_csv)},
+            "synth": {"detla": 5, "seed": 16, "engines": ["tvmc"], "workers": 1},
+        }
+        path = tmp_path / "pipeline.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        code = run_cli("pipeline", "--config", path, "--output", out)
+        assert code == cli.EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "detla" in err["message"]
         assert not (out / "synth").exists()
 
     def test_missing_config_is_config_error(self, tmp_path, capsys):

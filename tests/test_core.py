@@ -161,48 +161,56 @@ class TestCorpus:
     def test_rejects_ragged(self):
         a = StateAlphabet(("x", "y"))
         with pytest.raises(DataFormatError, match="length"):
-            Corpus(
-                a,
-                (
-                    IntervalSequence([0, 1], id="a"),
-                    IntervalSequence([0, 1, 1], id="b"),
-                ),
-            )
+            Corpus.from_arrays(a, [[0, 1], [0, 1, 1]], ids=["a", "b"])
 
     def test_rejects_duplicate_ids(self):
         a = StateAlphabet(("x",))
         with pytest.raises(DataFormatError, match="duplicate"):
-            Corpus(a, (IntervalSequence([0], id="a"), IntervalSequence([0], id="a")))
+            Corpus.from_arrays(a, [[0], [0]], ids=["a", "a"])
 
     def test_rejects_out_of_alphabet_state(self):
         a = StateAlphabet(("x",))
         with pytest.raises(DataFormatError):
-            Corpus(a, (IntervalSequence([0, 1], id="a"),))
-
-    def test_cluster_labels_must_cover(self):
-        a = StateAlphabet(("x",))
-        seqs = (IntervalSequence([0], id="a"), IntervalSequence([0], id="b"))
-        with pytest.raises(DataFormatError, match="missing"):
-            Corpus(a, seqs, {"a": 0})
-        with pytest.raises(DataFormatError, match="unknown"):
-            Corpus(a, seqs, {"a": 0, "b": 0, "c": 1})
+            Corpus.from_arrays(a, [[0, 1]], ids=["a"])
 
     def test_subset_keeps_labels(self):
         a = StateAlphabet(("x", "y"))
-        c = Corpus(
-            a,
-            (IntervalSequence([0, 1], id="a"), IntervalSequence([1, 0], id="b")),
-            {"a": 0, "b": 1},
-        )
+        c = Corpus.from_arrays(a, [[0, 1], [1, 0]], ids=["a", "b"])
         sub = c.subset([1])
         assert sub.ids == ("b",)
-        assert sub.cluster_labels == {"b": 1}
+        assert sub.states_matrix.tolist() == [[1, 0]]
 
     def test_states_matrix(self):
         a = StateAlphabet(("x", "y"))
         c = Corpus.from_arrays(a, [[0, 1], [1, 1]])
         assert c.states_matrix.tolist() == [[0, 1], [1, 1]]
         assert c.length == 2
+
+    def test_matrix_is_readonly_small_int(self):
+        c = Corpus.from_arrays(StateAlphabet(("x", "y")), [[0, 1], [1, 1]])
+        assert c.states_matrix.dtype == np.int8
+        assert not c.states_matrix.flags.writeable
+        wide = StateAlphabet(tuple(f"s{i}" for i in range(200)))
+        c = Corpus.from_arrays(wide, [[0, 199]])
+        assert c.states_matrix.dtype == np.int16
+        assert c.states_matrix.tolist() == [[0, 199]]
+
+    def test_input_matrix_is_copied(self):
+        mat = np.array([[0, 1], [1, 1]])
+        c = Corpus(StateAlphabet(("x", "y")), mat, ("a", "b"))
+        mat[0, 0] = 1
+        assert c.states_matrix.tolist() == [[0, 1], [1, 1]]
+
+    def test_rejects_bad_matrix(self):
+        a = StateAlphabet(("x", "y"))
+        with pytest.raises(DataFormatError, match="2-D"):
+            Corpus(a, np.array([0, 1]), ("a",))
+        with pytest.raises(DataFormatError, match="ids"):
+            Corpus(a, np.array([[0, 1]]), ("a", "b"))
+        with pytest.raises(DataFormatError, match="alphabet"):
+            Corpus(a, np.array([[0, -1]]), ("a",))
+        with pytest.raises(DataFormatError, match="non-empty"):
+            Corpus(a, np.empty((2, 0), dtype=np.int64), ("a", "b"))
 
     def test_from_arrays_id_count_mismatch(self):
         a = StateAlphabet(("x",))

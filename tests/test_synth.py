@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from seqsynth import (
     Corpus,
     DataFormatError,
     DurationSampler,
+    IntervalSequence,
     PairedMcEngine,
     StateAlphabet,
     SynthesisConfig,
@@ -31,8 +34,8 @@ from _groundtruth import activity_ground_truth
 
 def brute_candidates(corpus, a_c, context, t_c, delta, order):
     out = []
-    for seq in corpus.sequences:
-        eps = rle_encode(seq).episodes
+    for row in corpus.states_matrix:
+        eps = rle_encode(IntervalSequence(row)).episodes
         for i in range(1, len(eps)):
             if abs(eps[i].start - t_c) > delta:
                 continue
@@ -135,7 +138,7 @@ class TestCandidateIndex:
         # fewer than 20 episodes, checked against the brute-force scan
         rng = np.random.default_rng(99)
         corpus = random_corpus(rng, n_seq=3, length=30, n_states=3)
-        total_eps = sum(len(rle_encode(s)) for s in corpus.sequences)
+        total_eps = sum(len(rle_encode(IntervalSequence(r))) for r in corpus.states_matrix)
         assert total_eps <= 20
         for delta in (0, 2, 5, 30):
             index = build_index(corpus, delta)
@@ -309,8 +312,7 @@ class TestBuffer:
         rng = np.random.default_rng(23)
         extended = extend_with_buffer(corpus, TvmcModel.fit(corpus), 10, rng)
         assert extended.length == 60
-        for seq in extended.sequences:
-            assert (seq.states == 0).all()
+        assert (extended.states_matrix == 0).all()
 
     def test_prefix_unchanged_and_length(self):
         rng_data = np.random.default_rng(24)
@@ -318,9 +320,8 @@ class TestBuffer:
         rng = np.random.default_rng(25)
         extended = extend_with_buffer(corpus, TvmcModel.fit(corpus), 15, rng)
         assert extended.length == 85
-        for before, after in zip(corpus.sequences, extended.sequences):
-            assert np.array_equal(after.states[:70], before.states)
-            assert after.id == before.id
+        assert np.array_equal(extended.states_matrix[:, :70], corpus.states_matrix)
+        assert extended.ids == corpus.ids
 
     def test_zero_delta_is_noop(self):
         corpus = random_corpus(np.random.default_rng(26), n_seq=3, length=30)
@@ -551,7 +552,7 @@ class TestBatch:
             corpus, config, 10, assignment=labels, weights=[1.0, 0.0]
         )
         assert all(sp.cluster == 0 for sp in prov.sequences)
-        assert out.cluster_labels == {sid: 0 for sid in out.ids}
+        assert tuple(sp.id for sp in prov.sequences) == out.ids
 
     def test_cluster_draws_follow_sizes(self):
         corpus = activity_ground_truth(40, 100, seed=47)
@@ -582,7 +583,7 @@ class TestBatch:
         config = SynthesisConfig(delta=10, target_length=90, seed=19)
         small, _ = synthesize_batch(corpus, config, 3)
         large, _ = synthesize_batch(corpus, config, 9)
-        assert small.sequences == large.sequences[:3]
+        assert small == large.subset(range(3))
 
 
 class TestConfig:
@@ -634,6 +635,29 @@ class TestConfig:
         assert parsed == config
         assert count == 50
         assert weights == [2.0, 1.0]
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_bandwidth_must_be_finite(self, value):
+        with pytest.raises(ConfigError, match="finite positive"):
+            SynthesisConfig(sampler="kde", kde_bandwidth=value)
+        with pytest.raises(ConfigError, match="finite positive"):
+            DurationSampler("kde", bandwidth=value)
+        with pytest.raises(ConfigError, match="finite positive"):
+            config_from_dict({"sampler": {"type": "kde", "bandwidth_rule": value}})
+
+    @pytest.mark.parametrize("rule", ["abc", "5", True, [1.0]])
+    def test_bandwidth_rule_must_be_silverman_or_number(self, rule):
+        with pytest.raises(ConfigError, match="bandwidth must be a finite positive"):
+            config_from_dict({"sampler": {"type": "kde", "bandwidth_rule": rule}})
+
+    def test_unknown_keys_rejected(self):
+        with pytest.raises(ConfigError, match="detla"):
+            config_from_dict({"detla": 5})
+        with pytest.raises(ConfigError, match="sampler.bandwith_rule"):
+            config_from_dict({"sampler": {"type": "kde", "bandwith_rule": 2.0}})
+        # everything config_to_dict emits, plus count and weights, is accepted
+        payload = config_to_dict(SynthesisConfig(), count=3, weights=[1.0])
+        assert config_from_dict(payload) == (SynthesisConfig(), 3, [1.0])
 
     def test_dict_defaults(self):
         parsed, count, weights = config_from_dict({})
