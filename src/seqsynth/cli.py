@@ -215,11 +215,7 @@ def _stage_synth(
         weights=weights,
         workers=workers,
     )
-    if len(out):
-        seqio.save_corpus(out, outdir / f"{corpus_name}.csv", out_format)
-    else:
-        (outdir / f"{corpus_name}.csv").parent.mkdir(parents=True, exist_ok=True)
-        (outdir / f"{corpus_name}.csv").write_text("id\n", encoding="utf-8")
+    seqio.save_corpus(out, outdir / f"{corpus_name}.csv", out_format)
     payload = provenance.to_dict()
     payload["config_hash"] = cfg_hash
     seqio.write_json(payload, outdir / f"{corpus_name}_provenance.json")
@@ -527,8 +523,14 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _check_pipeline_ints(pre: dict, cluster_cfg: dict, workers) -> None:
-    """Type-check the pipeline's own integer fields before any stage runs."""
+def _check_pipeline_types(pre: dict, cluster_cfg: dict, eval_cfg: dict, workers) -> None:
+    """Type-check the pipeline's own integer and boolean fields before any stage runs."""
+    for name, value in (
+        ("cluster.enabled", cluster_cfg.get("enabled", False)),
+        ("eval.include_zero_combined", eval_cfg.get("include_zero_combined", False)),
+    ):
+        if not isinstance(value, bool):
+            raise ConfigError(f"{name} must be true or false, got {value!r}")
     required = [
         ("preprocess.interval_minutes", pre.get("interval_minutes", 1)),
         ("synth.workers", workers),
@@ -571,7 +573,8 @@ def cmd_pipeline(args) -> int:
     synth_cfg = dict(cfg.get("synth", {}))
     engines = synth_cfg.pop("engines", ["paired-mc", "tvmc"])
     file_workers = synth_cfg.pop("workers", 1)
-    _check_pipeline_ints(pre, cluster_cfg, file_workers)
+    eval_cfg = cfg.get("eval", {})
+    _check_pipeline_types(pre, cluster_cfg, eval_cfg, file_workers)
 
     t0 = time.perf_counter()
     corpus = _stage_ingest(
@@ -635,13 +638,12 @@ def cmd_pipeline(args) -> int:
         )
     timings["synth"] = time.perf_counter() - t0
 
-    eval_cfg = cfg.get("eval", {})
     t0 = time.perf_counter()
     _stage_eval(
         corpus,
         methods,
         eval_cfg.get("states", "top5"),
-        bool(eval_cfg.get("include_zero_combined", False)),
+        eval_cfg.get("include_zero_combined", False),
         outdir / "eval",
         cfg_hash,
     )
@@ -658,7 +660,7 @@ def cmd_pipeline(args) -> int:
             weights,
             workers,
             eval_cfg.get("states", "top5"),
-            bool(eval_cfg.get("include_zero_combined", False)),
+            eval_cfg.get("include_zero_combined", False),
             outdir / "sweep",
             cfg_hash,
         )

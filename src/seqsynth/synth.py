@@ -10,16 +10,18 @@ Two engines are provided:
   sequences are first extended by one window length with per-interval
   baseline steps so the window statistics near the end of the day are
   unbiased; generation runs to the extended horizon and the output is
-  truncated back to the target length.
+  truncated back to the target length.  The :class:`CandidateIndex`
+  sorts the transitions by full context and start time, so one windowed
+  lookup serves a whole block of sequences, which advance in lockstep.
 
 * ``tvmc`` - a time-varying Markov chain baseline that draws each
   interval's state conditioned on the previous interval's state and the
-  clock time.
+  clock time; a block of sequences is walked in lockstep too.
 
 Reproducibility contract: every output sequence is generated from an
 independent random stream derived from ``(config.seed, ordinal)``, so a
 batch is byte-identical for a given (corpus, config, count) regardless
-of how many workers run it.
+of how many workers run it or how its sequences are grouped into blocks.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ __all__ = [
     "silverman_bandwidth",
     "sample_transition",
     "extend_with_buffer",
-    "SynthesisState",
     "GenerationResult",
     "PairedMcEngine",
     "TvmcEngine",
@@ -68,6 +69,9 @@ BUFFERS = ("tvmc", "none")
 DURATION_POOLS = ("window", "all_day")
 
 _WIDEN_FACTORS = (1, 2, 4)
+# per-sequence fallback counts, in provenance order
+_FALLBACKS = ("window_widened", "order_reduced", "tvmc_steps")
+_WIDENED, _REDUCED, _TVMC_STEP = range(len(_FALLBACKS))
 # stream tags keep buffer imputation and per-sequence generation independent
 _BUFFER_STREAM = 0
 _SEQUENCE_STREAM = 1
@@ -304,33 +308,63 @@ _EMPTY_CANDIDATES = Candidates(
 )
 
 
-class _Block(NamedTuple):
-    starts: np.ndarray
-    next_states: np.ndarray
-    durations: np.ndarray
-    prev2: np.ndarray
-    prev3: np.ndarray
+def _context_key(n_states: int, horizon: int, a_c, context, m) -> np.ndarray:
+    """``key * horizon`` of each order-``m`` context (a_c, context[:m-1]).
+
+    ``context`` rows list the preceding states, most recent first; entries
+    past ``m - 1`` are ignored.  Keys of different orders never collide.
+    """
+    m = np.asarray(m)
+    offsets = np.cumsum([0] + [n_states**j for j in range(1, MAX_ORDER)])
+    key = offsets[m - 1] + a_c
+    weight = n_states
+    for j in range(context.shape[1]):
+        key = key + np.where(m > j + 1, context[:, j] * weight, 0)
+        weight *= n_states
+    return key * horizon
 
 
 class CandidateIndex:
-    """Observed transitions keyed by the immediately preceding state.
+    """Observed transitions keyed by their full preceding context.
 
-    One record exists per episode that has a predecessor: its state,
-    duration, start time, and up to two further preceding states (-1 when
-    the episode is too close to the start of its sequence).  Records are
-    sorted by start time within each preceding-state block so a window
-    query is two binary searches.
+    One record exists per episode that has a predecessor: its state and
+    duration.  For each order m up to ``order``, every record with at
+    least m predecessors is listed under the key (prev1, ..., prevm),
+    sorted by (key, start) with ties in row-major order.  All orders share
+    one sorted int64 array of ``key * horizon + start``, so the windows of
+    any number of queries are two vectorized binary searches, each giving
+    a contiguous range ``[lo, hi)`` of ``records``.
     """
 
-    def __init__(self, blocks: dict[int, _Block], n_states: int, horizon: int, delta: int):
-        self._blocks = blocks
+    def __init__(self, keys, records, states, durations, n_states, horizon, delta, order):
+        self.keys = keys
+        self.records = records
+        self.states = states
+        self.durations = durations
         self.n_states = n_states
         self.horizon = horizon
         self.delta = delta
+        self.order = order
 
     @property
     def n_records(self) -> int:
-        return sum(b.starts.size for b in self._blocks.values())
+        return int(self.states.size)
+
+    def context_key(self, a_c, context, m) -> np.ndarray:
+        return _context_key(self.n_states, self.horizon, a_c, context, m)
+
+    def window(self, key, t, half_width) -> tuple[np.ndarray, np.ndarray]:
+        """``[lo, hi)`` of the records under ``key`` with |start - t| <= half_width.
+
+        Both ends are clipped to ``[0, horizon]``: starts lie in
+        ``[1, horizon)``, so a window never spills into a neighbouring key.
+        ``hi <= lo`` means no candidate.
+        """
+        first, last = np.clip((t - half_width, t + half_width), 0, self.horizon)
+        return (
+            np.searchsorted(self.keys, key + first, side="left"),
+            np.searchsorted(self.keys, key + last, side="right"),
+        )
 
     def candidates(
         self,
@@ -350,32 +384,27 @@ class CandidateIndex:
         if not 1 <= order <= MAX_ORDER:
             raise ConfigError(f"order must be in [1, {MAX_ORDER}]")
         if any(int(c) < 0 for c in context):
-            # -1 marks "no predecessor" internally and must not be queryable
             raise ConfigError("context states must be non-negative")
-        if delta is None:
-            delta = self.delta
-        block = self._blocks.get(int(a_c))
-        if block is None:
+        m = min(order, 1 + len(context))
+        if m > self.order:
+            raise ConfigError(f"index holds contexts up to order {self.order}")
+        ctx = [int(c) for c in context[: m - 1]]
+        # a state outside the alphabet has no records (and would alias a key)
+        if not all(0 <= s < self.n_states for s in [int(a_c)] + ctx):
             return _EMPTY_CANDIDATES
-        lo = int(np.searchsorted(block.starts, t_c - delta, side="left"))
-        hi = int(np.searchsorted(block.starts, t_c + delta, side="right"))
-        if lo >= hi:
-            return _EMPTY_CANDIDATES
-        states = block.next_states[lo:hi]
-        durations = block.durations[lo:hi]
-        if order >= 2 and len(context) >= 1:
-            mask = block.prev2[lo:hi] == int(context[0])
-            if order >= 3 and len(context) >= 2:
-                mask &= block.prev3[lo:hi] == int(context[1])
-            states = states[mask]
-            durations = durations[mask]
-        return Candidates(states, durations)
+        key = self.context_key(np.array([a_c]), np.array([ctx], dtype=np.int64), m)
+        lo, hi = self.window(key, t_c, self.delta if delta is None else delta)
+        recs = self.records[lo[0] : hi[0]]
+        return Candidates(self.states[recs], self.durations[recs])
 
 
-def build_index(corpus: Corpus, delta: int) -> CandidateIndex:
-    """Index every transition in the corpus for windowed lookup."""
+def build_index(corpus: Corpus, delta: int, order: int = MAX_ORDER) -> CandidateIndex:
+    """Index every transition in the corpus for windowed lookup up to ``order``."""
     if len(corpus) == 0:
         raise DataFormatError("cannot index an empty corpus")
+    n_states, horizon = corpus.alphabet.size, corpus.length
+    if sum(n_states**m for m in range(1, order + 1)) * horizon >= 2**63:
+        raise DataFormatError(f"{n_states} states are too many to index at order {order}")
     rows, ep_starts, ep_states, ep_durs = episode_table(corpus.states_matrix)
 
     def earlier(k: int) -> np.ndarray:
@@ -385,21 +414,28 @@ def build_index(corpus: Corpus, delta: int) -> CandidateIndex:
         out[k:][same_row] = ep_states[:-k][same_row]
         return out
 
-    # one record per episode that has a predecessor, sorted by (prev1, start);
-    # the stable sort keeps ties in row-major order
-    prev1 = earlier(1)
+    # one record per episode that has a predecessor, in row-major order
     records = np.flatnonzero(ep_starts > 0)
-    records = records[np.lexsort((ep_starts[records], prev1[records]))]
-    starts, nxt, dur, prev1, prev2, prev3 = (
-        a[records]
-        for a in (ep_starts, ep_states, ep_durs, prev1, earlier(2), earlier(3))
+    prev = np.stack([earlier(k)[records] for k in range(1, order + 1)], axis=1)
+    starts = ep_starts[records]
+    keys, perms = [], []
+    for m in range(1, order + 1):
+        has = np.flatnonzero(prev[:, m - 1] >= 0)
+        key = _context_key(n_states, horizon, prev[has, 0], prev[has, 1:], m) + starts[has]
+        # the stable sort keeps ties in row-major order
+        by_key = np.argsort(key, kind="stable")
+        keys.append(key[by_key])
+        perms.append(has[by_key])
+    return CandidateIndex(
+        np.concatenate(keys),
+        np.concatenate(perms),
+        ep_states[records],
+        ep_durs[records],
+        n_states,
+        horizon,
+        delta,
+        order,
     )
-    blocks: dict[int, _Block] = {}
-    for state in np.unique(prev1):
-        lo = int(np.searchsorted(prev1, state, side="left"))
-        hi = int(np.searchsorted(prev1, state, side="right"))
-        blocks[int(state)] = _Block(*(a[lo:hi] for a in (starts, nxt, dur, prev2, prev3)))
-    return CandidateIndex(blocks, corpus.alphabet.size, corpus.length, delta)
 
 
 def silverman_bandwidth(values: np.ndarray) -> float:
@@ -487,54 +523,15 @@ def extend_with_buffer(
     return replace(corpus, states_matrix=np.hstack((mat, ext.astype(mat.dtype))))
 
 
-class SynthesisState:
-    """Mutable per-generation state of the episode engine.
-
-    Tracks the emitted episodes, the current state, the current end time
-    (always the sum of emitted durations), and the most recent preceding
-    states (newest first, capped at the maximum supported context).
-    Local to one generation; never shared across threads.
-    """
-
-    __slots__ = ("states", "durations", "starts", "current_state", "end_time", "context")
-
-    def __init__(self, state: int, duration: int):
-        self.states = [state]
-        self.durations = [duration]
-        self.starts = [0]
-        self.current_state = state
-        self.end_time = duration
-        self.context: list[int] = []
-
-    def advance(self, state: int, duration: int) -> None:
-        """Append a new episode and shift the context window."""
-        self.context = [self.current_state] + self.context[: MAX_ORDER - 2]
-        self.states.append(state)
-        self.durations.append(duration)
-        self.starts.append(self.end_time)
-        self.current_state = state
-        self.end_time += duration
-
-    def extend_current(self, amount: int = 1) -> None:
-        """Lengthen the episode in progress without a state change."""
-        self.durations[-1] += amount
-        self.end_time += amount
-
-    def episodes(self) -> tuple[Episode, ...]:
-        return tuple(
-            Episode(s, d, t)
-            for s, d, t in zip(self.states, self.durations, self.starts)
-        )
-
-
 @dataclass(frozen=True)
 class GenerationResult:
     """One generated sequence plus its internal episode chain.
 
-    ``states`` has exactly the target length.  ``episodes`` (engines
-    that work in episodes only) is the internal chain before truncation:
-    durations are as sampled, so the final episode may overrun the
-    horizon.  ``fallbacks`` counts how often each recovery rule fired.
+    ``states`` has exactly the target length.  ``episodes`` (only from
+    the one-stream :meth:`PairedMcEngine.generate`, None in batches) is
+    the internal chain before truncation: durations are as sampled, so
+    the final episode may overrun the horizon.  ``fallbacks`` counts how
+    often each recovery rule fired.
     """
 
     states: np.ndarray
@@ -561,8 +558,17 @@ class PairedMcEngine:
 
     Building the engine performs the buffer imputation (when enabled),
     fits the per-interval baseline used by the fallback ladder, and
-    indexes every observed transition.  ``generate`` may then be called
-    any number of times with independent random streams.
+    indexes every observed transition up to the configured order.
+
+    ``generate_many`` advances the sequences of a batch of independent
+    random streams in lockstep.  Each step runs one pass of the fallback
+    ladder (order k down to 1, each order through the widened windows)
+    over the unfinished sequences; each sequence then draws from its own
+    stream exactly as a one-sequence loop would: a uniform record of its
+    candidate range (direct sampler, windowed durations), a two-stage
+    :func:`sample_transition` draw otherwise, or one baseline interval
+    when no rung has a candidate.  A sequence's output depends only on
+    its stream, never on the rest of the batch.
     """
 
     name = "paired-mc"
@@ -584,7 +590,7 @@ class PairedMcEngine:
         else:
             buffered = corpus
             self.stop = self.n
-        self.index = build_index(buffered, config.delta)
+        self.index = build_index(buffered, config.delta, config.order)
         self.sampler = DurationSampler(config.sampler, config.kde_bandwidth)
         self.duration_pools = (
             _all_day_durations(corpus) if config.duration_pool == "all_day" else None
@@ -593,71 +599,120 @@ class PairedMcEngine:
         self._widen = (1,) if config.delta == 0 else _WIDEN_FACTORS
 
     def generate(self, rng: np.random.Generator) -> GenerationResult:
-        cfg = self.config
+        """One sequence with its internal episode chain."""
+        [(states, starts, end)], [fallbacks] = self._run([rng])
+        durations = np.diff(starts + [end]).tolist()
+        episodes = tuple(Episode(*ep) for ep in zip(states, durations, starts))
+        return GenerationResult(self._expand(states, starts, end), episodes, fallbacks)
+
+    def generate_many(self, rngs: Sequence[np.random.Generator]) -> list[GenerationResult]:
+        """One sequence per stream, in order, without episode chains."""
+        chains, fallbacks = self._run(rngs)
+        return [
+            GenerationResult(self._expand(*chain), None, fb)
+            for chain, fb in zip(chains, fallbacks)
+        ]
+
+    def _expand(self, states: list, starts: list, end: int) -> np.ndarray:
+        durations = np.diff(starts + [end])
+        return np.repeat(np.asarray(states, dtype=np.int64), durations)[: self.n]
+
+    def _run(self, rngs: Sequence[np.random.Generator]) -> tuple[list, list]:
+        """(states, starts, end) of each stream's episode chain, and its fallbacks."""
         index = self.index
-        stop = self.stop
-        delta = cfg.delta
-        fast = cfg.sampler == "direct" and self.duration_pools is None
+        opening = [self.first.draw(rng) for rng in rngs]
+        chain_states = [[state] for state, _ in opening]
+        chain_starts = [[0] for _ in opening]
+        cur = np.array([state for state, _ in opening], dtype=np.int64)
+        end = np.array([duration for _, duration in opening], dtype=np.int64)
+        # preceding states, most recent first; depth counts the episodes before
+        context = np.zeros((len(rngs), MAX_ORDER - 1), dtype=np.int64)
+        depth = np.zeros(len(rngs), dtype=np.int64)
+        fallbacks = np.zeros((len(rngs), len(_FALLBACKS)), dtype=np.int64)
+        fast = self.config.sampler == "direct" and self.duration_pools is None
 
-        run = SynthesisState(*self.first.draw(rng))
-        fallbacks = {"window_widened": 0, "order_reduced": 0, "tvmc_steps": 0}
-
-        while run.end_time < stop:
-            cands = None
-            used_order = cfg.order
-            widened = False
-            for k in range(cfg.order, 0, -1):
-                ctx_k = run.context[: k - 1]
-                for w in self._widen:
-                    c = index.candidates(
-                        run.current_state, ctx_k, run.end_time, delta * w, k
-                    )
-                    if c.states.size:
-                        cands = c
-                        used_order = k
-                        widened = w > 1
-                        break
-                if cands is not None:
-                    break
-
-            if cands is None:
-                # final resort: a single baseline interval, then resume
-                step, _ = self.tvmc.walk(
-                    [run.current_state], run.end_time, np.array([[rng.random()]])
-                )
-                nxt = int(step[0, 0])
-                fallbacks["tvmc_steps"] += 1
-                if nxt == run.current_state:
-                    run.extend_current(1)
-                else:
-                    run.advance(nxt, 1)
-                continue
-
-            if used_order < cfg.order:
-                fallbacks["order_reduced"] += 1
-            elif widened:
-                fallbacks["window_widened"] += 1
-
+        live = np.flatnonzero(end < self.stop)
+        while live.size:
+            lo, hi, rung = self._ladder(cur[live], context[live], depth[live], end[live])
+            counted = rung >= 0
+            fallbacks[live[counted], rung[counted]] += 1
+            found = hi > lo
+            nxt = np.empty(live.size, dtype=np.int64)
+            dur = np.ones(live.size, dtype=np.int64)
+            hits = np.flatnonzero(found)
             if fast:
                 # uniform record draw == state-by-multiplicity then
                 # duration-within-state when both use the windowed set
-                i = int(rng.integers(cands.states.size))
-                state, dur = int(cands.states[i]), int(cands.durations[i])
+                offsets = [
+                    rngs[r].integers(size)
+                    for r, size in zip(live[hits].tolist(), (hi - lo)[hits].tolist())
+                ]
+                recs = index.records[lo[hits] + np.asarray(offsets, dtype=np.int64)]
+                nxt[hits], dur[hits] = index.states[recs], index.durations[recs]
             else:
-                state, dur = sample_transition(
-                    cands, self.sampler, rng, self.duration_pools
-                )
-            run.advance(state, dur)
+                for j in hits.tolist():
+                    recs = index.records[lo[j] : hi[j]]
+                    nxt[j], dur[j] = sample_transition(
+                        Candidates(index.states[recs], index.durations[recs]),
+                        self.sampler,
+                        rngs[live[j]],
+                        self.duration_pools,
+                    )
+            for j in np.flatnonzero(~found).tolist():
+                # final resort: a single baseline interval, then resume
+                r = live[j]
+                u = np.array([[rngs[r].random()]])
+                step, _ = self.tvmc.walk(cur[r : r + 1], end[r], u)
+                nxt[j] = step[0, 0]
 
-        states = np.repeat(
-            np.asarray(run.states, dtype=np.int64),
-            np.asarray(run.durations, dtype=np.int64),
-        )[: self.n]
-        return GenerationResult(states, run.episodes(), fallbacks)
+            # a baseline step that keeps the state lengthens the episode
+            grow = live[~found & (nxt == cur[live])]
+            end[grow] += 1
+            moved = found | (nxt != cur[live])
+            rows = live[moved]
+            starts = end[rows].tolist()
+            for r, state, start in zip(rows.tolist(), nxt[moved].tolist(), starts):
+                chain_states[r].append(state)
+                chain_starts[r].append(start)
+            context[rows, 1:] = context[rows, :-1]
+            context[rows, 0] = cur[rows]
+            depth[rows] += 1
+            cur[rows] = nxt[moved]
+            end[rows] += dur[moved]
+            live = live[end[live] < self.stop]
 
-    def generate_many(self, rngs: Sequence[np.random.Generator]) -> list[GenerationResult]:
-        """One :meth:`generate` per stream, in order."""
-        return [self.generate(rng) for rng in rngs]
+        chains = list(zip(chain_states, chain_starts, end.tolist()))
+        return chains, [dict(zip(_FALLBACKS, row)) for row in fallbacks.tolist()]
+
+    def _ladder(self, cur, context, depth, t):
+        """Candidate range ``[lo, hi)`` of each query from its first rung that has one.
+
+        Rungs run from the configured order down to 1, each order through
+        the widened windows.  ``rung`` is the fallback column the hit
+        counts under (-1 for the first rung); ``hi == lo`` leaves the
+        query to the baseline step, counted as ``tvmc_steps``.
+        """
+        order, delta = self.config.order, self.config.delta
+        lo = np.zeros(cur.size, dtype=np.int64)
+        hi = np.zeros(cur.size, dtype=np.int64)
+        rung = np.full(cur.size, _TVMC_STEP, dtype=np.int64)
+        todo = np.arange(cur.size)
+        for k in range(order, 0, -1):
+            if not todo.size:
+                break
+            # a context shorter than k - 1 states is matched at its own order
+            m = np.minimum(k, depth[todo] + 1)
+            key = self.index.context_key(cur[todo], context[todo], m)
+            for w in self._widen:
+                first, last = self.index.window(key, t[todo], delta * w)
+                hit = last > first
+                done = todo[hit]
+                lo[done], hi[done] = first[hit], last[hit]
+                rung[done] = _REDUCED if k < order else (_WIDENED if w > 1 else -1)
+                todo, key = todo[~hit], key[~hit]
+                if not todo.size:
+                    break
+        return lo, hi, rung
 
 
 def _all_day_durations(corpus: Corpus) -> dict[int, np.ndarray]:

@@ -189,6 +189,22 @@ class TestSynth:
         loaded = seqio.load_corpus(out / "synth.csv", "episode")
         assert len(loaded) == 2
 
+    @pytest.mark.parametrize(
+        "out_format, header", [("interval", "id"), ("episode", "id,state,duration")]
+    )
+    def test_empty_batch_writes_format_header(
+        self, tmp_path, corpus_csv, out_format, header
+    ):
+        out = tmp_path / "out"
+        code = run_cli(
+            "synth", "--corpus", corpus_csv, "--seed", 10, "--count", 0,
+            "--delta", 20, "--format", out_format, "--output", out,
+        )
+        assert code == 0
+        assert (out / "synth.csv").read_text(encoding="utf-8") == header + "\n"
+        prov = json.loads((out / "synth_provenance.json").read_text())
+        assert prov["count"] == 0 and prov["sequences"] == []
+
     def test_delta_longer_than_day_is_config_error(self, tmp_path, corpus_csv, capsys):
         out = tmp_path / "out"
         code = run_cli(
@@ -467,6 +483,28 @@ class TestPipeline:
         assert err["error"] == "ConfigError"
         assert "must be an integer" in err["message"]
         assert not (out / "synth").exists()
+
+    @pytest.mark.parametrize(
+        "section, key", [("cluster", "enabled"), ("eval", "include_zero_combined")]
+    )
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_booleans_must_be_true_or_false(
+        self, tmp_path, short_day_csv, capsys, section, key, value
+    ):
+        cfg = {
+            "input": {"path": str(short_day_csv)},
+            "synth": {"delta": 5, "seed": 16},
+            section: {key: value},
+        }
+        path = tmp_path / "pipeline.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        code = run_cli("pipeline", "--config", path, "--output", out)
+        assert code == cli.EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert f"{section}.{key} must be true or false" in err["message"]
+        assert not (out / "ingest").exists()
 
     @pytest.mark.parametrize("k_range", [[2], [2, 4, 6], "2:6"])
     def test_k_range_must_be_two_ints(self, tmp_path, short_day_csv, capsys, k_range):

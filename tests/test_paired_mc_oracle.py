@@ -1,0 +1,429 @@
+"""The lockstep paired-mc engine against the one-sequence loop.
+
+``OracleIndex``/``oracle_build_index`` keep the former prev1-keyed
+``CandidateIndex`` (one ``_Block`` per preceding state, with order 2
+and 3 as masks over the window), and ``SynthesisState`` with
+``OracleEngine.generate`` keep the former one-sequence generation loop.
+``PairedMcEngine.generate_many``, ``PairedMcEngine.generate`` and
+``synthesize_batch`` must reproduce them exactly: the same states and
+the same per-sequence fallback counts from the same streams.
+"""
+
+from typing import NamedTuple, Sequence
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from seqsynth import (
+    ClusterWeights,
+    ConfigError,
+    Corpus,
+    DataFormatError,
+    DurationSampler,
+    PairedMcEngine,
+    StateAlphabet,
+    SynthesisConfig,
+    TvmcModel,
+    episode_table,
+    extend_with_buffer,
+    sample_cluster,
+    sample_transition,
+    synthesize_batch,
+)
+from seqsynth import synth
+from seqsynth.core import Episode
+from seqsynth.synth import (
+    _BUFFER_STREAM,
+    _SEQUENCE_STREAM,
+    MAX_ORDER,
+    Candidates,
+    FirstEpisodeTable,
+    GenerationResult,
+)
+
+from _groundtruth import activity_ground_truth
+
+FALLBACK_KEYS = ("window_widened", "order_reduced", "tvmc_steps")
+
+_EMPTY_CANDIDATES = Candidates(
+    np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+)
+
+
+class _Block(NamedTuple):
+    starts: np.ndarray
+    next_states: np.ndarray
+    durations: np.ndarray
+    prev2: np.ndarray
+    prev3: np.ndarray
+
+
+class OracleIndex:
+    """Observed transitions keyed by the immediately preceding state."""
+
+    def __init__(self, blocks: dict[int, _Block], n_states: int, horizon: int, delta: int):
+        self._blocks = blocks
+        self.n_states = n_states
+        self.horizon = horizon
+        self.delta = delta
+
+    def candidates(
+        self,
+        a_c: int,
+        context: Sequence[int] = (),
+        t_c: int = 0,
+        delta: int | None = None,
+        order: int = 1,
+    ) -> Candidates:
+        if not 1 <= order <= MAX_ORDER:
+            raise ConfigError(f"order must be in [1, {MAX_ORDER}]")
+        if any(int(c) < 0 for c in context):
+            # -1 marks "no predecessor" internally and must not be queryable
+            raise ConfigError("context states must be non-negative")
+        if delta is None:
+            delta = self.delta
+        block = self._blocks.get(int(a_c))
+        if block is None:
+            return _EMPTY_CANDIDATES
+        lo = int(np.searchsorted(block.starts, t_c - delta, side="left"))
+        hi = int(np.searchsorted(block.starts, t_c + delta, side="right"))
+        if lo >= hi:
+            return _EMPTY_CANDIDATES
+        states = block.next_states[lo:hi]
+        durations = block.durations[lo:hi]
+        if order >= 2 and len(context) >= 1:
+            mask = block.prev2[lo:hi] == int(context[0])
+            if order >= 3 and len(context) >= 2:
+                mask &= block.prev3[lo:hi] == int(context[1])
+            states = states[mask]
+            durations = durations[mask]
+        return Candidates(states, durations)
+
+
+def oracle_build_index(corpus: Corpus, delta: int) -> OracleIndex:
+    if len(corpus) == 0:
+        raise DataFormatError("cannot index an empty corpus")
+    rows, ep_starts, ep_states, ep_durs = episode_table(corpus.states_matrix)
+
+    def earlier(k: int) -> np.ndarray:
+        """State of the episode k before each one in its row, else -1."""
+        out = np.full(ep_states.size, -1, dtype=np.int64)
+        same_row = rows[k:] == rows[:-k]
+        out[k:][same_row] = ep_states[:-k][same_row]
+        return out
+
+    # one record per episode that has a predecessor, sorted by (prev1, start);
+    # the stable sort keeps ties in row-major order
+    prev1 = earlier(1)
+    records = np.flatnonzero(ep_starts > 0)
+    records = records[np.lexsort((ep_starts[records], prev1[records]))]
+    starts, nxt, dur, prev1, prev2, prev3 = (
+        a[records]
+        for a in (ep_starts, ep_states, ep_durs, prev1, earlier(2), earlier(3))
+    )
+    blocks: dict[int, _Block] = {}
+    for state in np.unique(prev1):
+        lo = int(np.searchsorted(prev1, state, side="left"))
+        hi = int(np.searchsorted(prev1, state, side="right"))
+        blocks[int(state)] = _Block(*(a[lo:hi] for a in (starts, nxt, dur, prev2, prev3)))
+    return OracleIndex(blocks, corpus.alphabet.size, corpus.length, delta)
+
+
+class SynthesisState:
+    """Mutable per-generation state of the episode engine."""
+
+    __slots__ = ("states", "durations", "starts", "current_state", "end_time", "context")
+
+    def __init__(self, state: int, duration: int):
+        self.states = [state]
+        self.durations = [duration]
+        self.starts = [0]
+        self.current_state = state
+        self.end_time = duration
+        self.context: list[int] = []
+
+    def advance(self, state: int, duration: int) -> None:
+        """Append a new episode and shift the context window."""
+        self.context = [self.current_state] + self.context[: MAX_ORDER - 2]
+        self.states.append(state)
+        self.durations.append(duration)
+        self.starts.append(self.end_time)
+        self.current_state = state
+        self.end_time += duration
+
+    def extend_current(self, amount: int = 1) -> None:
+        """Lengthen the episode in progress without a state change."""
+        self.durations[-1] += amount
+        self.end_time += amount
+
+    def episodes(self) -> tuple[Episode, ...]:
+        return tuple(
+            Episode(s, d, t)
+            for s, d, t in zip(self.states, self.durations, self.starts)
+        )
+
+
+def _all_day_durations(corpus: Corpus) -> dict[int, np.ndarray]:
+    _, _, states, durs = episode_table(corpus.states_matrix)
+    return {int(s): durs[states == s] for s in np.unique(states)}
+
+
+class OracleEngine:
+    """The former ``PairedMcEngine``: build, then one sequence per call."""
+
+    def __init__(self, corpus: Corpus, config: SynthesisConfig, stream_key: int = 0):
+        self.config = config
+        self.n = corpus.length
+        self.tvmc = TvmcModel.fit(corpus)
+        self.first = FirstEpisodeTable(corpus)
+        if config.buffer == "tvmc" and config.delta > 0:
+            rng = np.random.default_rng(
+                np.random.SeedSequence((config.seed, _BUFFER_STREAM, stream_key))
+            )
+            buffered = extend_with_buffer(corpus, self.tvmc, config.delta, rng)
+            self.stop = self.n + config.delta
+        else:
+            buffered = corpus
+            self.stop = self.n
+        self.index = oracle_build_index(buffered, config.delta)
+        self.sampler = DurationSampler(config.sampler, config.kde_bandwidth)
+        self.duration_pools = (
+            _all_day_durations(corpus) if config.duration_pool == "all_day" else None
+        )
+        self._widen = (1,) if config.delta == 0 else (1, 2, 4)
+
+    def generate(self, rng: np.random.Generator) -> GenerationResult:
+        cfg = self.config
+        index = self.index
+        stop = self.stop
+        delta = cfg.delta
+        fast = cfg.sampler == "direct" and self.duration_pools is None
+
+        run = SynthesisState(*self.first.draw(rng))
+        fallbacks = {"window_widened": 0, "order_reduced": 0, "tvmc_steps": 0}
+
+        while run.end_time < stop:
+            cands = None
+            used_order = cfg.order
+            widened = False
+            for k in range(cfg.order, 0, -1):
+                ctx_k = run.context[: k - 1]
+                for w in self._widen:
+                    c = index.candidates(
+                        run.current_state, ctx_k, run.end_time, delta * w, k
+                    )
+                    if c.states.size:
+                        cands = c
+                        used_order = k
+                        widened = w > 1
+                        break
+                if cands is not None:
+                    break
+
+            if cands is None:
+                # final resort: a single baseline interval, then resume
+                step, _ = self.tvmc.walk(
+                    [run.current_state], run.end_time, np.array([[rng.random()]])
+                )
+                nxt = int(step[0, 0])
+                fallbacks["tvmc_steps"] += 1
+                if nxt == run.current_state:
+                    run.extend_current(1)
+                else:
+                    run.advance(nxt, 1)
+                continue
+
+            if used_order < cfg.order:
+                fallbacks["order_reduced"] += 1
+            elif widened:
+                fallbacks["window_widened"] += 1
+
+            if fast:
+                i = int(rng.integers(cands.states.size))
+                state, dur = int(cands.states[i]), int(cands.durations[i])
+            else:
+                state, dur = sample_transition(
+                    cands, self.sampler, rng, self.duration_pools
+                )
+            run.advance(state, dur)
+
+        states = np.repeat(
+            np.asarray(run.states, dtype=np.int64),
+            np.asarray(run.durations, dtype=np.int64),
+        )[: self.n]
+        return GenerationResult(states, run.episodes(), fallbacks)
+
+
+def sparse_corpus(rng, n_seq, length, n_states):
+    """A few short days of short random episodes: most windows are thin.
+
+    The last state only ever closes a day, so it has no recorded
+    successor: a sequence that reaches it early must take baseline steps.
+    """
+    alphabet = StateAlphabet(tuple(f"s{i}" for i in range(n_states)))
+    rows = []
+    for _ in range(n_seq):
+        row = np.full(length, n_states - 1, dtype=np.int64)
+        t, cur = 0, int(rng.integers(n_states - 1))
+        stop = length - int(rng.integers(0, 8))
+        while t < stop:
+            d = int(min(rng.integers(1, 8), stop - t))
+            row[t : t + d] = cur
+            t += d
+            cur = int((cur + rng.integers(1, n_states - 1)) % (n_states - 1))
+        rows.append(row)
+    return Corpus.from_arrays(alphabet, rows)
+
+
+SAMPLERS = {
+    "direct": {},
+    "kde-silverman": {"sampler": "kde"},
+    "kde-fixed": {"sampler": "kde", "kde_bandwidth": 1.5},
+    "all-day": {"duration_pool": "all_day"},
+}
+
+
+def _streams(seed, n):
+    return [np.random.default_rng(np.random.SeedSequence((seed, i))) for i in range(n)]
+
+
+def _compare(corpus, config, n_rows=6):
+    """Fallback totals after checking both engine paths against the oracle."""
+    engine = PairedMcEngine(corpus, config)
+    oracle = OracleEngine(corpus, config)
+    oracle_records = sum(b.starts.size for b in oracle.index._blocks.values())
+    assert engine.index.n_records == oracle_records
+    got = engine.generate_many(_streams(config.seed, n_rows))
+    want = [oracle.generate(rng) for rng in _streams(config.seed, n_rows)]
+    totals = dict.fromkeys(FALLBACK_KEYS, 0)
+    for g, w in zip(got, want):
+        assert g.episodes is None
+        assert g.states.dtype == w.states.dtype
+        assert np.array_equal(g.states, w.states)
+        assert list(g.fallbacks.items()) == list(w.fallbacks.items())
+        for key in FALLBACK_KEYS:
+            totals[key] += w.fallbacks[key]
+    # the one-stream path also rebuilds the episode chain
+    [rng] = _streams(config.seed + 1, 1)
+    [oracle_rng] = _streams(config.seed + 1, 1)
+    single, expected = engine.generate(rng), oracle.generate(oracle_rng)
+    assert np.array_equal(single.states, expected.states)
+    assert single.episodes == expected.episodes
+    assert single.fallbacks == expected.fallbacks
+    return totals
+
+
+@st.composite
+def sparse_cases(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    length = draw(st.integers(2, 60))
+    corpus = sparse_corpus(
+        np.random.default_rng(seed),
+        n_seq=draw(st.integers(1, 4)),
+        length=length,
+        n_states=draw(st.integers(3, 6)),
+    )
+    config = SynthesisConfig(
+        delta=draw(st.integers(0, min(length, 6))),
+        order=draw(st.integers(1, MAX_ORDER)),
+        target_length=length,
+        buffer=draw(st.sampled_from(("tvmc", "none"))),
+        seed=seed,
+        **SAMPLERS[draw(st.sampled_from(sorted(SAMPLERS)))],
+    )
+    return corpus, config
+
+
+class TestEngineOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_cases())
+    def test_matches_one_sequence_loop(self, case):
+        _compare(*case)
+
+    @pytest.mark.parametrize("sampler", sorted(SAMPLERS))
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_every_rung_fires(self, order, sampler):
+        totals = dict.fromkeys(FALLBACK_KEYS, 0)
+        rng = np.random.default_rng(700 + order)
+        for case in range(16):
+            corpus = sparse_corpus(rng, n_seq=3, length=48, n_states=4)
+            config = SynthesisConfig(
+                delta=(0, 2, 3, 5)[case % 4],
+                order=order,
+                target_length=48,
+                buffer=("tvmc", "none")[case // 4 % 2],
+                seed=case,
+                **SAMPLERS[sampler],
+            )
+            for key, value in _compare(corpus, config).items():
+                totals[key] += value
+        assert totals["window_widened"] > 0
+        assert totals["tvmc_steps"] > 0
+        assert (totals["order_reduced"] > 0) == (order > 1)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_full_days(self, order):
+        corpus = activity_ground_truth(40, 1440, seed=83)
+        _compare(corpus, SynthesisConfig(delta=30, order=order, seed=84), n_rows=8)
+
+
+def _oracle_batch(corpus, config, count, vec, weights):
+    """States and provenance of ``synthesize_batch`` from per-ordinal loops."""
+    if vec is None:
+        parts = [corpus]
+    else:
+        parts = [corpus.subset(np.flatnonzero(vec == c)) for c in range(3)]
+    engines = [OracleEngine(part, config, stream_key=c) for c, part in enumerate(parts)]
+    states = np.empty((count, corpus.length), dtype=np.int64)
+    drawn = []
+    for ordinal in range(count):
+        rng = np.random.default_rng(
+            np.random.SeedSequence((config.seed, _SEQUENCE_STREAM, ordinal))
+        )
+        cluster = 0 if vec is None else sample_cluster(ClusterWeights(weights), rng)
+        result = engines[cluster].generate(rng)
+        states[ordinal] = result.states
+        drawn.append((cluster, result.fallbacks))
+    return states, drawn
+
+
+class TestBatchOracle:
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("clustered", [False, True])
+    @pytest.mark.parametrize(
+        "settings_",
+        [
+            {"order": 1},
+            {"order": 2, "sampler": "kde"},
+            {"order": 3, "duration_pool": "all_day", "buffer": "none"},
+        ],
+        ids=["o1", "o2-kde", "o3-allday-nobuffer"],
+    )
+    def test_batch_matches_scalar_generation(
+        self, workers, clustered, settings_, monkeypatch
+    ):
+        # many windows per chunk, several blocks per cluster per window
+        monkeypatch.setattr(synth, "_BLOCK_ROWS", 8)
+        monkeypatch.setattr(synth, "_WINDOW_ROWS", 20)
+        corpus = activity_ground_truth(30, 120, seed=85)
+        config = SynthesisConfig(delta=15, target_length=120, seed=86, **settings_)
+        count = 150
+        if clustered:
+            # unequal clusters, weighted against their sizes
+            vec = np.repeat(np.arange(3), (15, 10, 5))
+            labels = {sid: int(c) for sid, c in zip(corpus.ids, vec)}
+            weights = [0.1, 0.2, 0.7]
+        else:
+            vec = labels = weights = None
+        out, prov = synthesize_batch(
+            corpus, config, count, assignment=labels, weights=weights, workers=workers
+        )
+        states, drawn = _oracle_batch(corpus, config, count, vec, weights)
+        assert np.array_equal(out.states_matrix, states)
+        for ordinal, (sp, (cluster, fallbacks)) in enumerate(zip(prov.sequences, drawn)):
+            assert (sp.ordinal, sp.cluster) == (ordinal, cluster)
+            assert list(sp.fallbacks.items()) == list(fallbacks.items())
+        if clustered:
+            assert np.bincount([c for c, _ in drawn], minlength=3)[2] > 2 * 8

@@ -125,6 +125,24 @@ class TestCandidateIndex:
         with pytest.raises(ConfigError, match="non-negative"):
             index.candidates(0, (-1,), t_c=5, delta=5, order=2)
 
+    def test_states_outside_alphabet_have_no_candidates(self):
+        alphabet = StateAlphabet(("a", "b", "c"))
+        corpus = Corpus.from_arrays(alphabet, [[0] * 10 + [1] * 10 + [2] * 10])
+        index = build_index(corpus, delta=40)
+        assert index.candidates(1, (0,), t_c=20, order=2).size == 1
+        for a_c, context in ((3, ()), (4, ()), (-1, ()), (2, (3,)), (1, (0, 5))):
+            got = index.candidates(a_c, context, t_c=20, order=3)
+            assert got.size == 0
+            assert brute_candidates(corpus, a_c, context, 20, 40, 3) == []
+
+    def test_key_space_must_fit_int64(self):
+        # 200000**3 contexts times 1440 starts overflow an int64 key
+        alphabet = StateAlphabet(tuple(f"s{i}" for i in range(200_000)))
+        corpus = Corpus.from_arrays(alphabet, [[0] * 720 + [1] * 720])
+        assert build_index(corpus, delta=5, order=1).n_records == 1
+        with pytest.raises(DataFormatError, match="too many to index"):
+            build_index(corpus, delta=5, order=3)
+
     def test_order2_excludes_records_without_second_predecessor(self):
         alphabet = StateAlphabet(("a", "b", "c"))
         corpus = Corpus.from_arrays(alphabet, [[0] * 10 + [1] * 10 + [2] * 10])
@@ -347,12 +365,11 @@ class TestBuffer:
             np.sort(np.unique(rich.durations)).size
             >= np.sort(np.unique(sparse.durations)).size
         )
-        # the buffered index holds records that start past the day boundary
-        block = buffered.index._blocks[late_state]
-        assert (block.starts >= 300).any()
-        bare_block = bare.index._blocks.get(late_state)
-        if bare_block is not None:
-            assert not (bare_block.starts >= 300).any()
+        # the buffered index holds records that start past the day boundary;
+        # a window over [300, 340] covers every start either index can hold
+        assert buffered.index.n_records > bare.index.n_records
+        assert buffered.index.candidates(late_state, (), 320, 20, 1).size > 0
+        assert bare.index.candidates(late_state, (), 320, 20, 1).size == 0
 
 
 class TestPairedMc:
