@@ -24,6 +24,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import secrets
 import sys
@@ -121,7 +122,7 @@ def _stage_ingest(
         series = seqio.load_continuous(input_path, on_missing=on_missing)
         if smooth is not None:
             series = [smooth_rolling(s, smooth) for s in series]
-        if thresholds is None:
+        if not thresholds:
             raise ConfigError("continuous input requires --thresholds")
         if thresholds[0] > 0:
             thresholds = [0.0] + list(thresholds)  # zero is its own category
@@ -523,8 +524,10 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _check_pipeline_types(pre: dict, cluster_cfg: dict, eval_cfg: dict, workers) -> None:
-    """Type-check the pipeline's own integer and boolean fields before any stage runs."""
+def _check_pipeline_types(
+    pre: dict, cluster_cfg: dict, eval_cfg: dict, engines, workers
+) -> None:
+    """Check the pipeline's own fields before any stage runs."""
     for name, value in (
         ("cluster.enabled", cluster_cfg.get("enabled", False)),
         ("eval.include_zero_combined", eval_cfg.get("include_zero_combined", False)),
@@ -545,6 +548,36 @@ def _check_pipeline_types(pre: dict, cluster_cfg: dict, eval_cfg: dict, workers)
     required += [("cluster.k_range", k) for k in k_range]
     for name, value in required + [f for f in optional if f[1] is not None]:
         synth._require_int(name, value)
+    if not 2 <= k_range[0] <= k_range[1]:
+        raise ConfigError(f"cluster.k_range must satisfy 2 <= lo <= hi, got {k_range!r}")
+    thresholds = pre.get("thresholds")
+    if thresholds is not None and not (
+        isinstance(thresholds, list)
+        and thresholds
+        and all(_finite_number(t) for t in thresholds)
+    ):
+        raise ConfigError(
+            f"preprocess.thresholds must be a non-empty list of finite numbers, "
+            f"got {thresholds!r}"
+        )
+    states = eval_cfg.get("states")
+    if not (
+        states is None
+        or isinstance(states, str)
+        or (isinstance(states, list) and all(isinstance(s, str) for s in states))
+    ):
+        raise ConfigError(f"eval.states must be a string or a list of strings, got {states!r}")
+    if not (isinstance(engines, list) and engines and all(e in synth.ENGINES for e in engines)):
+        raise ConfigError(
+            f"synth.engines must be a non-empty list drawn from {list(synth.ENGINES)}, "
+            f"got {engines!r}"
+        )
+
+
+def _finite_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, int) or math.isfinite(value)
 
 
 def cmd_pipeline(args) -> int:
@@ -574,7 +607,7 @@ def cmd_pipeline(args) -> int:
     engines = synth_cfg.pop("engines", ["paired-mc", "tvmc"])
     file_workers = synth_cfg.pop("workers", 1)
     eval_cfg = cfg.get("eval", {})
-    _check_pipeline_types(pre, cluster_cfg, eval_cfg, file_workers)
+    _check_pipeline_types(pre, cluster_cfg, eval_cfg, engines, file_workers)
 
     t0 = time.perf_counter()
     corpus = _stage_ingest(

@@ -296,6 +296,8 @@ def build_report(
     if "original" in methods:
         raise DataFormatError('method name "original" is reserved')
     for name, corpus in methods.items():
+        if not len(corpus):
+            raise DataFormatError(f"method {name!r} has no sequences")
         if corpus.alphabet != original.alphabet:
             raise DataFormatError(f"method {name!r} alphabet differs from original")
         if corpus.length != original.length:

@@ -18,8 +18,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from types import SimpleNamespace
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -32,13 +34,53 @@ CONTINUOUS = "continuous"
 CORPUS_FORMATS = (INTERVAL, EPISODE)
 
 
-def _read_rows(path) -> list[list[str]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return list(csv.reader(fh))
+def _rows(fh) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(row_no, cells)`` for each CSV row of ``fh``, numbered from 1.
+
+    A line with no quote and no CR splits on commas, which is exactly what
+    ``csv.reader`` returns for it (a blank line gives ``[]``).  From the
+    first line that has either, ``csv.reader`` reads the rest of the file,
+    so quoted fields may hold commas, quotes and line breaks.  Bytes that
+    are not UTF-8 and malformed CSV raise :class:`DataFormatError`.
+    """
+    row_no = 0
+    try:
+        for line in fh:
+            if '"' in line or "\r" in line:
+                rest = csv.reader(chain([line], fh))
+                for row_no, row in enumerate(rest, start=row_no + 1):
+                    yield row_no, row
+                return
+            row_no += 1
+            if line[-1] == "\n":
+                line = line[:-1]
+            yield row_no, line.split(",") if line else []
+    except UnicodeDecodeError:
+        raise DataFormatError(f"{fh.name}: {_bad_utf8(fh.name)}") from None
+    except csv.Error as exc:
+        raise DataFormatError(f"{fh.name}: row {row_no + 1}: {exc}") from None
+
+
+def _bad_utf8(path) -> str:
+    """Where the first byte of ``path`` that is not UTF-8 sits."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return f"line {line}: byte {data[exc.start:exc.start + 1]!r} is not valid UTF-8"
+    return "not valid UTF-8"
 
 
 def _writer(fh):
     return csv.writer(fh, lineterminator="\n")
+
+
+def _quoted(fields: Iterable[str]) -> list[str]:
+    """Each field exactly as ``csv.writer`` writes it within a row of several."""
+    lines: list[str] = []
+    _writer(SimpleNamespace(write=lines.append)).writerows((f, "") for f in fields)
+    return [line[:-2] for line in lines]  # drop the empty field's "," and "\n"
 
 
 def _check_new_ids(seen: set, sid: str, row_no: int) -> None:
@@ -47,6 +89,16 @@ def _check_new_ids(seen: set, sid: str, row_no: int) -> None:
     if sid in seen:
         raise DataFormatError(f"row {row_no}: duplicate sequence id {sid!r}")
     seen.add(sid)
+
+
+def _codes(labels: list[str], codes: dict[str, int]) -> np.ndarray:
+    """Provisional codes of ``labels``; a label new to ``codes`` gets the next code."""
+    try:
+        return np.fromiter(map(codes.__getitem__, labels), np.int32, len(labels))
+    except KeyError:
+        for label in dict.fromkeys(labels):
+            codes.setdefault(label, len(codes))
+        return np.fromiter(map(codes.__getitem__, labels), np.int32, len(labels))
 
 
 def load_corpus(
@@ -62,73 +114,84 @@ def load_corpus(
     When ``alphabet`` is given with ``extend_alphabet=False``, any label
     outside it is an error; otherwise newly observed labels are appended
     in sorted order (or the whole alphabet is the sorted union when none
-    is given).
+    is given).  With an ``alphabet``, a file holding only its header (what
+    saving an empty corpus writes) loads as the empty corpus.
+
+    Rows stream from the file: each is checked and mapped to provisional
+    codes as it is read, and one permutation gives the final codes, so
+    memory holds the codes and one row of text rather than the whole file.
     """
-    if format == INTERVAL:
-        ids, label_rows = _parse_interval(path)
-    elif format == EPISODE:
-        ids, label_rows = _parse_episode(path)
-    else:
+    if format not in CORPUS_FORMATS:
         raise ConfigError(f"unknown corpus format {format!r}")
+    given = () if alphabet is None else alphabet.labels
+    codes = {label: i for i, label in enumerate(given)}
+    read = _read_interval if format == INTERVAL else _read_episode
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        ids, to_matrix = read(_rows(fh), path, codes)
     if not ids:
-        raise DataFormatError(f"{path}: no sequences found")
+        if alphabet is None:
+            raise DataFormatError(f"{path}: no sequences found")
+        return Corpus(alphabet, np.empty((0, 0), alphabet.cell_dtype), (), interval_minutes)
 
-    observed = sorted(set().union(*label_rows))
-    if alphabet is None:
-        alphabet = StateAlphabet(tuple(observed))
-    else:
-        unknown = [lab for lab in observed if lab not in alphabet]
-        if unknown and not extend_alphabet:
-            raise DataFormatError(
-                f"unknown state labels {unknown[:5]} (alphabet extension disabled)"
-            )
-        if unknown:
-            alphabet = StateAlphabet(alphabet.labels + tuple(unknown))
-
-    lookup = {lab: i for i, lab in enumerate(alphabet.labels)}.__getitem__
-    width = len(label_rows[0])
-    mat = np.empty((len(ids), width), dtype=alphabet.cell_dtype)
-    for i, (sid, row) in enumerate(zip(ids, label_rows)):
-        if len(row) != width:
-            raise DataFormatError(
-                f"sequence {sid!r} has length {len(row)}, expected {width}"
-            )
-        mat[i] = list(map(lookup, row))
-    return Corpus(alphabet, mat, tuple(ids), interval_minutes)
+    unknown = sorted(list(codes)[len(given):])
+    if unknown and alphabet is not None and not extend_alphabet:
+        raise DataFormatError(
+            f"unknown state labels {unknown[:5]} (alphabet extension disabled)"
+        )
+    if unknown:
+        alphabet = StateAlphabet(given + tuple(unknown))
+    final = {label: i for i, label in enumerate(alphabet.labels)}
+    perm = np.array([final[label] for label in codes], dtype=alphabet.cell_dtype)
+    return Corpus(alphabet, to_matrix(perm), tuple(ids), interval_minutes)
 
 
-def _parse_interval(path) -> tuple[list[str], list[list[str]]]:
-    rows = _read_rows(path)
-    if not rows or not rows[0] or rows[0][0] != "id":
+def _read_interval(rows, path, codes: dict[str, int]):
+    """Ids and a map from the code permutation to the matrix, row by row."""
+    _, header = next(rows, (1, []))
+    if not header or header[0] != "id":
         raise DataFormatError(f"{path}: expected interval CSV header 'id,s1,...'")
-    width = len(rows[0]) - 1
+    width = len(header) - 1
     if width < 1:
-        raise DataFormatError(f"{path}: header declares no interval columns")
+        # only an empty corpus saves without columns
+        if any(row for _, row in rows):
+            raise DataFormatError(f"{path}: header declares no interval columns")
+        return [], None
     ids: list[str] = []
-    out: list[list[str]] = []
+    cells: list[np.ndarray] = []
     seen: set[str] = set()
-    for row_no, row in enumerate(rows[1:], start=2):
+    for row_no, row in rows:
         if not row:
             continue
         if len(row) - 1 != width:
             raise DataFormatError(
                 f"row {row_no}: has {len(row) - 1} cells, expected {width}"
             )
-        _check_new_ids(seen, row[0], row_no)
-        ids.append(row[0])
-        out.append(row[1:])
-    return ids, out
+        sid = row.pop(0)
+        _check_new_ids(seen, sid, row_no)
+        ids.append(sid)
+        cells.append(_codes(row, codes))
+
+    def to_matrix(perm: np.ndarray) -> np.ndarray:
+        mat = np.empty((len(cells), width), perm.dtype)
+        for i, row_codes in enumerate(cells):
+            mat[i] = perm[row_codes]
+        return mat
+
+    return ids, to_matrix
 
 
-def _parse_episode(path) -> tuple[list[str], list[list[str]]]:
-    rows = _read_rows(path)
-    if not rows or rows[0] != ["id", "state", "duration"]:
+def _read_episode(rows, path, codes: dict[str, int]):
+    """Ids and a map from the code permutation to the matrix, one day per id."""
+    _, header = next(rows, (1, []))
+    if header != ["id", "state", "duration"]:
         raise DataFormatError(f"{path}: expected episode CSV header 'id,state,duration'")
     ids: list[str] = []
-    out: list[list[str]] = []
+    starts: list[int] = []
+    states: list[int] = []
+    durations: list[int] = []
     seen: set[str] = set()
     current: str | None = None
-    for row_no, row in enumerate(rows[1:], start=2):
+    for row_no, row in rows:
         if not row:
             continue
         if len(row) != 3:
@@ -138,76 +201,91 @@ def _parse_episode(path) -> tuple[list[str], list[list[str]]]:
             _check_new_ids(seen, sid, row_no)
             current = sid
             ids.append(sid)
-            out.append([])
+            starts.append(len(states))
         try:
             dur = int(dur_text)
         except ValueError:
             raise DataFormatError(f"row {row_no}: duration {dur_text!r} is not an integer")
         if dur < 1:
             raise DataFormatError(f"row {row_no}: duration must be at least 1")
-        out[-1].extend([state] * dur)
-    return ids, out
+        states.append(codes.setdefault(state, len(codes)))
+        durations.append(dur)
+
+    def to_matrix(perm: np.ndarray) -> np.ndarray:
+        lengths = np.add.reduceat(durations, starts)
+        bad = np.flatnonzero(lengths != lengths[0])
+        if bad.size:
+            i = bad[0]
+            raise DataFormatError(
+                f"sequence {ids[i]!r} has length {lengths[i]}, expected {lengths[0]}"
+            )
+        return np.repeat(perm[states], durations).reshape(len(ids), lengths[0])
+
+    return ids, to_matrix
 
 
 def save_corpus(corpus: Corpus, path, format: str = INTERVAL) -> None:
+    if format not in CORPUS_FORMATS:
+        raise ConfigError(f"unknown corpus format {format!r}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    labels = np.array(corpus.alphabet.labels, dtype=object)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = _writer(fh)
         if format == INTERVAL:
             w.writerow(["id"] + [f"s{i + 1}" for i in range(corpus.length)])
-            for sid, row in zip(corpus.ids, corpus.states_matrix):
-                w.writerow([sid] + labels[row].tolist())
-        elif format == EPISODE:
+            cells = np.array(_quoted(corpus.alphabet.labels), dtype=object)
+            for sid, row in zip(_quoted(corpus.ids), corpus.states_matrix):
+                fh.write(f"{sid},{','.join(cells[row].tolist())}\n")
+        else:
             w.writerow(["id", "state", "duration"])
+            labels = np.array(corpus.alphabet.labels, dtype=object)
             rows, _, states, durations = episode_table(corpus.states_matrix)
             ids = [corpus.ids[r] for r in rows.tolist()]
             w.writerows(zip(ids, labels[states].tolist(), durations.tolist()))
-        else:
-            raise ConfigError(f"unknown corpus format {format!r}")
 
 
 def load_continuous(path, on_missing: str = "error") -> list[ContinuousSeries]:
     """Read continuous series; missing cells either raise or drop the row."""
     if on_missing not in ("error", "drop"):
         raise ConfigError("on_missing must be 'error' or 'drop'")
-    rows = _read_rows(path)
-    if not rows or not rows[0] or rows[0][0] != "id":
-        raise DataFormatError(f"{path}: expected continuous CSV header 'id,v1,...'")
-    width = len(rows[0]) - 1
     out: list[ContinuousSeries] = []
     seen: set[str] = set()
-    for row_no, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) - 1 != width:
-            raise DataFormatError(
-                f"row {row_no}: has {len(row) - 1} cells, expected {width}"
-            )
-        _check_new_ids(seen, row[0], row_no)
-        values = np.empty(width, np.float64)
-        missing = False
-        for col, cell in enumerate(row[1:], start=2):
-            text = cell.strip()
-            v = math.nan
-            if text:
-                try:
-                    v = float(text)
-                except ValueError:
-                    raise DataFormatError(
-                        f"row {row_no}, column {col}: cannot parse {cell!r}"
-                    )
-            if math.isnan(v):
-                if on_missing == "error":
-                    raise DataFormatError(f"row {row_no}, column {col}: missing value")
-                missing = True
-                break
-            if v < 0:
-                raise DataFormatError(f"row {row_no}, column {col}: negative value")
-            values[col - 2] = v
-        if not missing:
-            out.append(ContinuousSeries(values, row[0]))
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = _rows(fh)
+        _, header = next(rows, (1, []))
+        if not header or header[0] != "id":
+            raise DataFormatError(f"{path}: expected continuous CSV header 'id,v1,...'")
+        width = len(header) - 1
+        for row_no, row in rows:
+            if not row:
+                continue
+            if len(row) - 1 != width:
+                raise DataFormatError(
+                    f"row {row_no}: has {len(row) - 1} cells, expected {width}"
+                )
+            _check_new_ids(seen, row[0], row_no)
+            values = np.empty(width, np.float64)
+            missing = False
+            for col, cell in enumerate(row[1:], start=2):
+                text = cell.strip()
+                v = math.nan
+                if text:
+                    try:
+                        v = float(text)
+                    except ValueError:
+                        raise DataFormatError(
+                            f"row {row_no}, column {col}: cannot parse {cell!r}"
+                        )
+                if math.isnan(v):
+                    if on_missing == "error":
+                        raise DataFormatError(f"row {row_no}, column {col}: missing value")
+                    missing = True
+                    break
+                if v < 0:
+                    raise DataFormatError(f"row {row_no}, column {col}: negative value")
+                values[col - 2] = v
+            if not missing:
+                out.append(ContinuousSeries(values, row[0]))
     if not out:
         raise DataFormatError(f"{path}: no usable series found")
     return out
@@ -226,22 +304,23 @@ def save_continuous(series_list: Iterable[ContinuousSeries], path) -> None:
 
 
 def load_cluster_labels(path) -> dict[str, int]:
-    rows = _read_rows(path)
-    if not rows or rows[0] != ["id", "cluster"]:
-        raise DataFormatError(f"{path}: expected cluster CSV header 'id,cluster'")
     labels: dict[str, int] = {}
-    for row_no, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise DataFormatError(f"row {row_no}: expected 2 cells, got {len(row)}")
-        sid, cluster = row
-        if sid in labels:
-            raise DataFormatError(f"row {row_no}: duplicate id {sid!r}")
-        try:
-            labels[sid] = int(cluster)
-        except ValueError:
-            raise DataFormatError(f"row {row_no}: cluster {cluster!r} is not an integer")
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = _rows(fh)
+        if next(rows, (1, []))[1] != ["id", "cluster"]:
+            raise DataFormatError(f"{path}: expected cluster CSV header 'id,cluster'")
+        for row_no, row in rows:
+            if not row:
+                continue
+            if len(row) != 2:
+                raise DataFormatError(f"row {row_no}: expected 2 cells, got {len(row)}")
+            sid, cluster = row
+            if sid in labels:
+                raise DataFormatError(f"row {row_no}: duplicate id {sid!r}")
+            try:
+                labels[sid] = int(cluster)
+            except ValueError:
+                raise DataFormatError(f"row {row_no}: cluster {cluster!r} is not an integer")
     if not labels:
         raise DataFormatError(f"{path}: no labels found")
     return labels

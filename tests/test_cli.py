@@ -100,6 +100,25 @@ class TestIngest:
         assert err["error"] == "DataFormatError"
         assert "row 2" in err["message"]
 
+    def test_empty_threshold_list_is_config_error(self, tmp_path, capsys):
+        code = run_cli(
+            "ingest", "--input", FIXTURE, "--format", "continuous",
+            "--thresholds", ",", "--output", tmp_path / "o",
+        )
+        assert code == cli.EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        assert err["message"] == "continuous input requires --thresholds"
+
+
+def test_undecodable_bytes_are_data_error(tmp_path, capsys):
+    src = tmp_path / "latin1.csv"
+    src.write_bytes(b"id,s1,s2\nd1,a,b\nd2,\xff,a\n")
+    code = run_cli("synth", "--corpus", src, "--seed", 1, "--output", tmp_path / "o")
+    assert code == cli.EXIT_DATA
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DataFormatError"
+    assert str(src) in err["message"] and "line 3" in err["message"]
+
 
 class TestCluster:
     def test_data_driven(self, tmp_path, corpus_csv):
@@ -313,6 +332,29 @@ class TestEval:
         assert code == cli.EXIT_DATA
 
 
+    @pytest.mark.parametrize("out_format", ["interval", "episode"])
+    def test_empty_batch_is_clear_data_error(
+        self, tmp_path, corpus_csv, capsys, out_format
+    ):
+        out = tmp_path / "out"
+        code = run_cli(
+            "synth", "--corpus", corpus_csv, "--seed", 10, "--count", 0,
+            "--delta", 20, "--format", out_format, "--output", out,
+        )
+        assert code == 0
+        code = run_cli(
+            "eval", "--original", corpus_csv, "--method", f"m={out / 'synth.csv'}",
+            "--output", tmp_path / "e",
+        )
+        assert code == cli.EXIT_DATA
+        err = json.loads(capsys.readouterr().err)
+        assert err == {
+            "error": "DataFormatError",
+            "message": "method 'm' has no sequences",
+            "exit_code": cli.EXIT_DATA,
+        }
+
+
 class TestSweep:
     def test_grid_cells(self, tmp_path, corpus_csv):
         out = tmp_path / "out"
@@ -522,6 +564,43 @@ class TestPipeline:
         assert err["error"] == "ConfigError"
         assert "k_range must be two integers" in err["message"]
         assert not (out / "ingest").exists()
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("eval", "states", 7, "eval.states must be a string or a list of strings"),
+            ("eval", "states", ["rest", 2], "eval.states must be"),
+            ("preprocess", "thresholds", "760", "preprocess.thresholds must be"),
+            ("preprocess", "thresholds", [], "preprocess.thresholds must be"),
+            ("preprocess", "thresholds", [760, True], "preprocess.thresholds must be"),
+            ("preprocess", "thresholds", [760, float("nan")], "preprocess.thresholds"),
+            ("synth", "engines", "tvmc", "synth.engines must be a non-empty list"),
+            ("synth", "engines", ["tvmc", "hmm"], "synth.engines must be"),
+            ("synth", "engines", [], "synth.engines must be"),
+            ("cluster", "k_range", [6, 2], "cluster.k_range must satisfy 2 <= lo <= hi"),
+            ("cluster", "k_range", [1, 6], "cluster.k_range must satisfy"),
+        ],
+        ids=[
+            "states-int", "states-mixed-list", "thresholds-str", "thresholds-empty",
+            "thresholds-bool", "thresholds-nan", "engines-str", "engines-unknown",
+            "engines-empty", "k_range-reversed", "k_range-below-2",
+        ],
+    )
+    def test_fixture_probe_fails_before_any_stage(
+        self, tmp_path, capsys, section, key, value, message
+    ):
+        cfg = json.loads((REPO / "fixtures" / "pipeline.json").read_text())
+        cfg["input"]["path"] = str(FIXTURE)
+        cfg[section][key] = value
+        path = tmp_path / "pipeline.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        code = run_cli("pipeline", "--config", path, "--output", out)
+        assert code == cli.EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert message in err["message"]
+        assert not any(p.is_dir() for p in out.iterdir())
 
     def test_unknown_synth_key_is_config_error(self, tmp_path, short_day_csv, capsys):
         cfg = {

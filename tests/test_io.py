@@ -1,7 +1,12 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from seqsynth import Corpus, DataFormatError, StateAlphabet
 from seqsynth import io as seqio
+
+from _groundtruth import activity_ground_truth
 
 
 @pytest.fixture
@@ -143,3 +148,50 @@ def test_labels_needing_csv_quoting_round_trip(tmp_path):
         path = tmp_path / f"c-{fmt}.csv"
         seqio.save_corpus(corpus, path, fmt)
         assert seqio.load_corpus(path, fmt, alphabet=alphabet) == corpus
+
+
+@pytest.mark.parametrize("fmt", [seqio.INTERVAL, seqio.EPISODE])
+def test_header_only_file_is_empty_corpus_given_alphabet(tmp_path, corpus, fmt):
+    # what saving an empty batch writes must load back
+    empty = Corpus(corpus.alphabet, np.empty((0, 0)), ())
+    path = tmp_path / "empty.csv"
+    seqio.save_corpus(empty, path, fmt)
+    assert seqio.load_corpus(path, fmt, alphabet=corpus.alphabet) == empty
+    with pytest.raises(DataFormatError, match="no sequences found"):
+        seqio.load_corpus(path, fmt)
+
+
+def test_rows_without_columns_rejected(tmp_path, corpus):
+    path = tmp_path / "bad.csv"
+    path.write_text("id\n\na\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match="header declares no interval columns"):
+        seqio.load_corpus(path, alphabet=corpus.alphabet)
+
+
+def test_malformed_csv_names_file_and_row(tmp_path):
+    # a quoted field beyond csv's field size limit is a csv.Error
+    path = tmp_path / "huge.csv"
+    path.write_text('id,s1\na,home\nb,"' + "x" * 200_000 + '"\n', encoding="utf-8")
+    with pytest.raises(DataFormatError, match=r"huge\.csv: row 3: field larger"):
+        seqio.load_corpus(path)
+
+
+def test_undecodable_byte_names_file_and_line(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"id,s1\na,home\nb,caf\xe9\n")
+    with pytest.raises(DataFormatError, match=r"latin1\.csv: line 3: byte b'\\xe9'"):
+        seqio.load_corpus(path)
+
+
+def test_interval_load_memory_is_bounded(tmp_path):
+    # streaming holds the int32 codes and one row of text, not the file
+    path = tmp_path / "gt.csv"
+    seqio.save_corpus(activity_ground_truth(2000, 1440), path)
+    tracemalloc.start()
+    try:
+        loaded = seqio.load_corpus(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.states_matrix.shape == (2000, 1440)
+    assert peak <= 64e6, f"traced peak {peak / 1e6:.0f} MB"
