@@ -525,9 +525,13 @@ def cmd_sweep(args) -> int:
 
 
 def _check_pipeline_types(
-    pre: dict, cluster_cfg: dict, eval_cfg: dict, engines, workers
+    input_format, pre: dict, cluster_cfg: dict, eval_cfg: dict, engines, workers
 ) -> None:
-    """Check the pipeline's own fields before any stage runs."""
+    """Check the pipeline's own fields before any stage runs.
+
+    ``cluster.k_range`` order and ``preprocess.thresholds`` are checked only
+    where a stage reads them: data-driven clustering and continuous input.
+    """
     for name, value in (
         ("cluster.enabled", cluster_cfg.get("enabled", False)),
         ("eval.include_zero_combined", eval_cfg.get("include_zero_combined", False)),
@@ -548,10 +552,11 @@ def _check_pipeline_types(
     required += [("cluster.k_range", k) for k in k_range]
     for name, value in required + [f for f in optional if f[1] is not None]:
         synth._require_int(name, value)
-    if not 2 <= k_range[0] <= k_range[1]:
-        raise ConfigError(f"cluster.k_range must satisfy 2 <= lo <= hi, got {k_range!r}")
+    clustering = cluster_cfg.get("enabled", False)
+    if clustering and cluster_cfg.get("labels_path") is None and k_range[0] > k_range[1]:
+        raise ConfigError(f"cluster.k_range must satisfy lo <= hi, got {k_range!r}")
     thresholds = pre.get("thresholds")
-    if thresholds is not None and not (
+    if input_format == seqio.CONTINUOUS and thresholds is not None and not (
         isinstance(thresholds, list)
         and thresholds
         and all(_finite_number(t) for t in thresholds)
@@ -607,7 +612,10 @@ def cmd_pipeline(args) -> int:
     engines = synth_cfg.pop("engines", ["paired-mc", "tvmc"])
     file_workers = synth_cfg.pop("workers", 1)
     eval_cfg = cfg.get("eval", {})
-    _check_pipeline_types(pre, cluster_cfg, eval_cfg, engines, file_workers)
+    _check_pipeline_types(
+        input_cfg.get("format", seqio.INTERVAL), pre, cluster_cfg, eval_cfg, engines,
+        file_workers,
+    )
 
     t0 = time.perf_counter()
     corpus = _stage_ingest(

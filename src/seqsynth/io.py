@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Mapping
@@ -37,39 +36,21 @@ CORPUS_FORMATS = (INTERVAL, EPISODE)
 def _rows(fh) -> Iterator[tuple[int, list[str]]]:
     """Yield ``(row_no, cells)`` for each CSV row of ``fh``, numbered from 1.
 
-    A line with no quote and no CR splits on commas, which is exactly what
-    ``csv.reader`` returns for it (a blank line gives ``[]``).  From the
-    first line that has either, ``csv.reader`` reads the rest of the file,
-    so quoted fields may hold commas, quotes and line breaks.  Bytes that
-    are not UTF-8 and malformed CSV raise :class:`DataFormatError`.
+    Rows stream through ``csv.reader``, so quoted fields may hold commas,
+    quotes and line breaks.  Bytes that are not UTF-8 and malformed CSV
+    raise :class:`DataFormatError` naming the file.
     """
     row_no = 0
     try:
-        for line in fh:
-            if '"' in line or "\r" in line:
-                rest = csv.reader(chain([line], fh))
-                for row_no, row in enumerate(rest, start=row_no + 1):
-                    yield row_no, row
-                return
-            row_no += 1
-            if line[-1] == "\n":
-                line = line[:-1]
-            yield row_no, line.split(",") if line else []
-    except UnicodeDecodeError:
-        raise DataFormatError(f"{fh.name}: {_bad_utf8(fh.name)}") from None
+        for row_no, row in enumerate(csv.reader(fh), start=1):
+            yield row_no, row
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start:exc.start + 1]
+        raise DataFormatError(
+            f"{fh.name}: byte {bad!r} is not UTF-8 ({exc.reason})"
+        ) from None
     except csv.Error as exc:
         raise DataFormatError(f"{fh.name}: row {row_no + 1}: {exc}") from None
-
-
-def _bad_utf8(path) -> str:
-    """Where the first byte of ``path`` that is not UTF-8 sits."""
-    data = Path(path).read_bytes()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        return f"line {line}: byte {data[exc.start:exc.start + 1]!r} is not valid UTF-8"
-    return "not valid UTF-8"
 
 
 def _writer(fh):

@@ -176,10 +176,10 @@ def test_malformed_csv_names_file_and_row(tmp_path):
         seqio.load_corpus(path)
 
 
-def test_undecodable_byte_names_file_and_line(tmp_path):
+def test_undecodable_byte_names_file(tmp_path):
     path = tmp_path / "latin1.csv"
     path.write_bytes(b"id,s1\na,home\nb,caf\xe9\n")
-    with pytest.raises(DataFormatError, match=r"latin1\.csv: line 3: byte b'\\xe9'"):
+    with pytest.raises(DataFormatError, match=r"latin1\.csv: byte b'\\xe9' is not UTF-8"):
         seqio.load_corpus(path)
 
 
