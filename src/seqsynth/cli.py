@@ -11,11 +11,14 @@ window-sensitivity sweeps into reproducible pipelines:
 * ``sweep``    synth+eval over a (delta, order) grid
 * ``pipeline`` run every stage from one JSON config
 
+Every subcommand turns its flags into the sections of a pipeline config
+and runs its one stage through the same runner, which checks the whole
+config against one schema before any stage writes.
+
 Exit codes: 0 success, 2 configuration error, 3 data error.  Errors are
 emitted as one JSON object on stderr.  All randomness flows from
 ``--seed``; when unset, a seed is drawn from system entropy and printed.
-The hash of the effective configuration is recorded in every JSON
-artifact.
+The hash of the configuration is recorded in every JSON artifact.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import os
 import secrets
 import sys
@@ -41,6 +43,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 ENV_OUTDIR = "SEQSYNTH_OUTDIR"
+_INPUT_FORMATS = (seqio.INTERVAL, seqio.EPISODE, seqio.CONTINUOUS)
 
 
 def _config_hash(payload: dict) -> str:
@@ -52,36 +55,12 @@ def _default_outdir() -> str:
     return os.environ.get(ENV_OUTDIR, "seqsynth-out")
 
 
-def _resolve_seed(seed: int | None) -> int:
-    if seed is not None:
-        return seed
-    seed = secrets.randbits(63)
-    print(f"seed={seed}")
-    return seed
-
-
-def _parse_int_list(text: str) -> list[int]:
+def _parse_list(text: str, kind=int, sep: str = ",") -> list:
     try:
-        return [int(x) for x in text.split(",") if x.strip()]
+        return [kind(x) for x in text.split(sep) if x.strip()]
     except ValueError:
-        raise ConfigError(f"expected a comma-separated integer list, got {text!r}")
-
-
-def _parse_float_list(text: str) -> list[float]:
-    try:
-        return [float(x) for x in text.split(",") if x.strip()]
-    except ValueError:
-        raise ConfigError(f"expected a comma-separated number list, got {text!r}")
-
-
-def _parse_k_range(text: str) -> tuple[int, int]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise ConfigError(f"expected k-range LO:HI, got {text!r}")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ConfigError(f"expected k-range LO:HI, got {text!r}")
+        what = f"{kind.__name__} values separated by {sep!r}"
+        raise ConfigError(f"expected {what}, got {text!r}")
 
 
 def _load_json_config(path) -> dict:
@@ -95,79 +74,42 @@ def _load_json_config(path) -> dict:
     return data
 
 
-def _pick(flag_value, config: dict, key: str, default):
-    """Flag wins over config file value wins over default."""
-    if flag_value is not None:
-        return flag_value
-    if key in config and config[key] is not None:
-        return config[key]
-    return default
-
-
 # ---------------------------------------------------------------------------
-# stage helpers shared by subcommands and the pipeline
+# stages
 
 
 def _stage_ingest(
-    input_path,
-    fmt: str,
-    outdir: Path,
-    smooth: int | None,
-    thresholds: list[float] | None,
-    on_missing: str,
-    interval_minutes: int,
-    cfg_hash: str,
+    input_path, fmt: str, smooth: int | None, thresholds: list[float] | None,
+    on_missing: str, interval_minutes: int, outdir: Path, cfg_hash: str,
 ) -> Corpus:
     if fmt == seqio.CONTINUOUS:
         series = seqio.load_continuous(input_path, on_missing=on_missing)
         if smooth is not None:
             series = [smooth_rolling(s, smooth) for s in series]
-        if not thresholds:
-            raise ConfigError("continuous input requires --thresholds")
         if thresholds[0] > 0:
             thresholds = [0.0] + list(thresholds)  # zero is its own category
         corpus = discretize_corpus(series, thresholds, interval_minutes)
-    elif fmt in seqio.CORPUS_FORMATS:
-        corpus = seqio.load_corpus(input_path, fmt, interval_minutes=interval_minutes)
     else:
-        raise ConfigError(f"unknown input format {fmt!r}")
+        corpus = seqio.load_corpus(input_path, fmt, interval_minutes=interval_minutes)
     seqio.save_corpus(corpus, outdir / "corpus.csv", seqio.INTERVAL)
     seqio.save_alphabet(
-        corpus.alphabet,
-        outdir / "alphabet.json",
-        interval_minutes=corpus.interval_minutes,
-        n_sequences=len(corpus),
-        length=corpus.length,
-        config_hash=cfg_hash,
+        corpus.alphabet, outdir / "alphabet.json", interval_minutes=corpus.interval_minutes,
+        n_sequences=len(corpus), length=corpus.length, config_hash=cfg_hash,
     )
     return corpus
 
 
 def _stage_cluster(
-    corpus: Corpus,
-    outdir: Path,
-    metric: str,
-    linkage: str,
-    k_range: tuple[int, int],
-    min_size: int | None,
-    labels_path,
-    cfg_hash: str,
+    corpus: Corpus, metric: str, linkage: str, k_range: tuple[int, int],
+    min_size: int | None, labels_path, outdir: Path, cfg_hash: str,
 ) -> dict[str, int]:
     if labels_path is not None:
         user = seqio.load_cluster_labels(labels_path)
         missing = [i for i in corpus.ids if i not in user]
         if missing:
             raise DataFormatError(f"label file missing ids: {missing[:5]}")
-        vec = clustering.ClusterAssignment.from_labels(
-            [user[i] for i in corpus.ids]
-        )
-        labels = {i: int(c) for i, c in zip(corpus.ids, vec.labels)}
-        summary = {
-            "source": "user",
-            "k": vec.k,
-            "sizes_desc": sorted((int(s) for s in vec.sizes), reverse=True),
-            "config_hash": cfg_hash,
-        }
+        assignment = clustering.ClusterAssignment.from_labels([user[i] for i in corpus.ids])
+        summary: dict = {"source": "user"}
     else:
         dmat = clustering.pairwise_distance(corpus, metric)
         dend = clustering.hierarchical_cluster(dmat, linkage)
@@ -177,44 +119,28 @@ def _stage_cluster(
         assignment = clustering.fold_small_clusters(
             clustering.ClusterAssignment(dend.cut(chosen)), min_size
         )
-        labels = {i: int(c) for i, c in zip(corpus.ids, assignment.labels)}
-        summary = {
-            "source": "dunn",
-            "metric": metric,
-            "linkage": linkage,
-            "k_range": [k_range[0], k_hi],
-            "dunn_by_k": {str(k): profile[k] for k in sorted(profile)},
-            "chosen_k": int(chosen),
-            "k": assignment.k,
-            "sizes_desc": sorted((int(s) for s in assignment.sizes), reverse=True),
-            "config_hash": cfg_hash,
-        }
+        summary = {"source": "dunn", "metric": metric, "linkage": linkage}
+        summary.update(
+            k_range=[k_range[0], k_hi],
+            dunn_by_k={str(k): profile[k] for k in sorted(profile)},
+            chosen_k=int(chosen),
+        )
+    labels = {i: int(c) for i, c in zip(corpus.ids, assignment.labels)}
+    sizes_desc = sorted((int(s) for s in assignment.sizes), reverse=True)
+    summary.update(k=assignment.k, sizes_desc=sizes_desc, config_hash=cfg_hash)
     seqio.save_cluster_labels(labels, outdir / "assignment.csv")
     seqio.write_json(summary, outdir / "cluster_summary.json")
     return labels
 
 
 def _stage_synth(
-    corpus: Corpus,
-    config: synth.SynthesisConfig,
-    count: int,
-    engine: str,
-    assignment,
-    weights,
-    workers: int,
-    outdir: Path,
-    out_format: str,
-    cfg_hash: str,
-    corpus_name: str = "synth",
+    corpus: Corpus, config: synth.SynthesisConfig, count: int, engine: str,
+    assignment, weights, workers: int, out_format: str, corpus_name: str,
+    outdir: Path, cfg_hash: str,
 ) -> Corpus:
     out, provenance = synth.synthesize_batch(
-        corpus,
-        config,
-        count,
-        engine=engine,
-        assignment=assignment,
-        weights=weights,
-        workers=workers,
+        corpus, config, count, engine=engine, assignment=assignment,
+        weights=weights, workers=workers,
     )
     seqio.save_corpus(out, outdir / f"{corpus_name}.csv", out_format)
     payload = provenance.to_dict()
@@ -223,98 +149,48 @@ def _stage_synth(
     return out
 
 
-def _resolve_states(selection, corpus: Corpus):
-    if selection is None or selection == "top5":
-        return None
-    if isinstance(selection, str):
-        return [s for s in selection.split(",") if s]
-    return list(selection)
-
-
 def _stage_eval(
-    original: Corpus,
-    methods: dict[str, Corpus],
-    states,
-    include_zero: bool,
-    outdir: Path,
-    cfg_hash: str,
+    original: Corpus, methods: dict[str, Corpus], states: list[str] | None,
+    include_zero: bool, outdir: Path, cfg_hash: str,
 ):
     report = evaluate.build_report(
-        original,
-        methods,
-        states=_resolve_states(states, original),
-        exclude_zero_combined=not include_zero,
+        original, methods, states=states, exclude_zero_combined=not include_zero
     )
     evaluate.write_report(report, outdir, config_hash=cfg_hash)
     return report
 
 
-def _sweep_grid(
-    base: synth.SynthesisConfig, deltas: list[int], orders: list[int]
-) -> list[synth.SynthesisConfig]:
-    """Every (delta, order) cell's config, validated before any cell runs."""
-    return [replace(base, delta=d, order=o) for d in deltas for o in orders]
-
-
 def _stage_sweep(
-    corpus: Corpus,
-    grid: list[synth.SynthesisConfig],
-    count: int,
-    engine: str,
-    assignment,
-    weights,
-    workers: int,
-    states,
-    include_zero: bool,
-    outdir: Path,
-    cfg_hash: str,
+    corpus: Corpus, grid: list[synth.SynthesisConfig], count: int, engine: str,
+    assignment, weights, workers: int, states: list[str] | None,
+    include_zero: bool, outdir: Path, cfg_hash: str,
 ) -> dict:
+    def d_p(block: dict) -> dict:
+        return {"d": block["d"], "p": block["p"]}
+
     cells = []
     rows = []
     for config in grid:
         name = f"{engine}-d{config.delta}-o{config.order}"
         out, _ = synth.synthesize_batch(
-            corpus,
-            config,
-            count,
-            engine=engine,
-            assignment=assignment,
-            weights=weights,
-            workers=workers,
+            corpus, config, count, engine=engine, assignment=assignment,
+            weights=weights, workers=workers,
         )
         report = evaluate.build_report(
-            corpus,
-            {name: out},
-            states=_resolve_states(states, corpus),
-            exclude_zero_combined=not include_zero,
+            corpus, {name: out}, states=states, exclude_zero_combined=not include_zero
         )
-        cell = {
-            "delta": config.delta,
-            "order": config.order,
-            "method": name,
-            "entropy": {
-                "d": report.entropy[name]["d"],
-                "p": report.entropy[name]["p"],
-            },
-            "states": {},
-        }
+        cell = {"delta": config.delta, "order": config.order, "method": name}
+        cell.update(entropy=d_p(report.entropy[name]), states={})
         for state in report.states:
-            ind = report.individual[state][name]
-            comb = report.combined[state][name]
-            cell["states"][state] = {
-                "individual": {"d": ind["d"], "p": ind["p"]},
-                "combined": {"d": comb["d"], "p": comb["p"]},
+            blocks = {
+                "individual": report.individual[state][name],
+                "combined": report.combined[state][name],
             }
-            for metric, block in (("individual", ind), ("combined", comb)):
+            cell["states"][state] = {metric: d_p(b) for metric, b in blocks.items()}
+            for metric, b in blocks.items():
                 rows.append(
-                    [
-                        config.delta,
-                        config.order,
-                        state,
-                        metric,
-                        "" if block["d"] is None else repr(block["d"]),
-                        "" if block["p"] is None else repr(block["p"]),
-                    ]
+                    [config.delta, config.order, state, metric]
+                    + ["" if b[k] is None else repr(b[k]) for k in ("d", "p")]
                 )
         cells.append(cell)
     payload = {"cells": cells, "config_hash": cfg_hash}
@@ -327,393 +203,356 @@ def _stage_sweep(
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# config schema: each check raises a ConfigError naming the key
+
+
+def _must(what: str, test):
+    def check(name: str, value) -> None:
+        if not test(value):
+            raise ConfigError(f"{name} must be {what}, got {value!r}")
+
+    return check
+
+
+def _positive(name: str, value) -> None:
+    synth._require_int(name, value)
+    if value < 1:
+        raise ConfigError(f"{name} must be at least 1, got {value!r}")
+
+
+def _ints(what: str, size: int | None = None):
+    """A non-empty list of integers (of exactly ``size``, if given)."""
+    is_list = _must(what, lambda v: isinstance(v, list) and v and size in (None, len(v)))
+
+    def check(name: str, value) -> None:
+        is_list(name, value)
+        for i, item in enumerate(value):
+            synth._require_int(f"{name}[{i}]", item)
+
+    return check
+
+
+def _choice(*options: str):
+    return _must(f"one of {list(options)}", lambda v: isinstance(v, str) and v in options)
+
+
+def _optional(check):
+    return lambda name, value: value is None or check(name, value)
+
+
+def _unique(names: list) -> None:
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(f"duplicate method name {name!r}")
+
+
+_TEXT = _must("a non-empty string", lambda v: isinstance(v, str) and v != "")
+_BOOL = _must("true or false", lambda v: isinstance(v, bool))
+_ENGINES = _must(
+    f"a non-empty list drawn from {list(synth.ENGINES)}",
+    lambda v: isinstance(v, list) and v and all(e in synth.ENGINES for e in v),
+)
+_THRESHOLDS = _must(
+    "a non-empty list of finite numbers",
+    lambda v: isinstance(v, list) and v and all(synth._finite(t) for t in v),
+)
+_STATES = _must(
+    "a string or a list of strings naming states",
+    lambda v: (isinstance(v, str) and all(v.split(",")))
+    or (isinstance(v, list) and v and all(isinstance(s, str) and s for s in v)),
+)
+
+# section -> key -> (default, check).  The synth section's other keys are
+# the synthesis config, parsed by synth.config_from_dict; the top level
+# holds these sections and ``output_dir``.
+_SCHEMA = {
+    "input": {
+        "path": (None, _TEXT),
+        "format": (seqio.INTERVAL, _choice(*_INPUT_FORMATS)),
+    },
+    "preprocess": {
+        "smooth_window": (None, _optional(_positive)),
+        "thresholds": (None, lambda name, value: None),  # checked where read
+        "on_missing": ("error", _choice("error", "drop")),
+        "interval_minutes": (1, _positive),
+    },
+    "cluster": {
+        "enabled": (False, _BOOL),
+        "metric": ("hamming", _choice("hamming")),
+        "linkage": ("complete", _choice(*clustering.LINKAGES)),
+        "k_range": ([2, 10], _ints("two integers", 2)),
+        "min_size": (None, _optional(_positive)),
+        "labels_path": (None, _optional(_TEXT)),
+    },
+    "synth": {
+        "engines": (list(synth.ENGINES), _ENGINES),
+        "workers": (1, _positive),
+    },
+    "eval": {
+        "states": ("top5", _STATES),
+        "include_zero_combined": (False, _BOOL),
+    },
+    "sweep": {
+        "deltas": ([30, 60, 120], _ints("a non-empty list of integers")),
+        "orders": ([1, 2], _ints("a non-empty list of integers")),
+        "engine": ("paired-mc", _choice(*synth.ENGINES)),
+    },
+}
+
+# the day length is known only once the corpus is read, so the check bounds
+# delta by it later and by nothing here
+_UNREAD_LENGTH = 2**63 - 1
+
+
+def _grid(base: synth.SynthesisConfig, sweep: dict, **fields) -> list:
+    """Every (delta, order) cell's config, validated before any cell runs."""
+    deltas, orders = sweep["deltas"], sweep["orders"]
+    return [replace(base, delta=d, order=o, **fields) for d in deltas for o in orders]
+
+
+def _check(cfg: dict) -> dict:
+    """Every section with its defaults filled in, or a ConfigError.
+
+    The synthesis keys of the synth section become its ``config``,
+    ``count`` and ``weights``.  A field whose use depends on another is
+    checked only where a stage reads it: ``cluster.k_range`` order for
+    data-driven clustering, ``preprocess.thresholds`` for continuous input.
+    """
+    unknown = [key for key in cfg if key not in _SCHEMA and key != "output_dir"]
+    for name, table in _SCHEMA.items():
+        section = cfg.get(name, {})
+        if not isinstance(section, dict):
+            raise ConfigError(f"{name} must be an object, got {section!r}")
+        if name != "synth":
+            unknown += [f"{name}.{key}" for key in section if key not in table]
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+
+    eff: dict = {"output_dir": cfg.get("output_dir", _default_outdir())}
+    _TEXT("output_dir", eff["output_dir"])
+    for name, table in _SCHEMA.items():
+        section = cfg.get(name, {})
+        eff[name] = {key: section.get(key, default) for key, (default, _) in table.items()}
+        for key, (_, check) in table.items():
+            check(f"{name}.{key}", eff[name][key])
+
+    syn = eff["synth"]
+    _unique(syn["engines"])
+    rest = {k: v for k, v in cfg.get("synth", {}).items() if k not in syn}
+    syn["config"], syn["count"], syn["weights"] = synth.config_from_dict(
+        {**rest, "target_length": _UNREAD_LENGTH}
+    )
+    if "sweep" in cfg:
+        _grid(syn["config"], eff["sweep"])
+
+    if eff["input"]["format"] == seqio.CONTINUOUS:
+        if eff["preprocess"]["thresholds"] is None:
+            raise ConfigError("continuous input requires --thresholds")
+        _THRESHOLDS("preprocess.thresholds", eff["preprocess"]["thresholds"])
+    clu = eff["cluster"]
+    lo, hi = clu["k_range"]
+    if clu["enabled"] and clu["labels_path"] is None and not 2 <= lo <= hi:
+        raise ConfigError(
+            f"cluster.k_range must satisfy lo <= hi with lo >= 2, got {clu['k_range']!r}"
+        )
+    return eff
+
+
+# ---------------------------------------------------------------------------
+# runner
+
+
+def _run(
+    cfg: dict, stages, output, cfg_hash: str, *, root: Path = Path(),
+    workers: int | None = None, pipeline: bool = False,
+    out_format: str = seqio.INTERVAL, methods: dict | None = None,
+) -> None:
+    """Check ``cfg`` in full, then run the requested ``stages`` in order.
+
+    Nothing is written before the whole config passes.  Without ingest,
+    ``input.path`` is read as an interval corpus; an enabled cluster
+    section not run as a stage gives its ``labels_path`` as the assignment;
+    sweep runs only if ``cfg`` has a sweep section; without synth, eval
+    compares ``methods`` (name -> path).  Paths are relative to ``root``.
+    A pipeline writes each stage into a subdirectory of ``output`` (default
+    ``output_dir``), names each corpus after its engine and writes stage
+    timings to ``pipeline_manifest.json``; a subcommand writes into ``output``.
+    """
+    eff = _check(cfg)
+    workers = eff["synth"]["workers"] if workers is None else workers
+    _positive("synth.workers", workers)
+    inp, pre, clu, syn, ev, sw = (eff[name] for name in _SCHEMA)
+    outdir = Path(eff["output_dir"] if output is None else output)
+    timings: dict[str, float] = {}
+
+    def run(stage: str, fn, *args):
+        t0 = time.perf_counter()
+        result = fn(*args, outdir / stage if pipeline else outdir, cfg_hash)
+        timings[stage] = time.perf_counter() - t0
+        return result
+
+    source = root / inp["path"]
+    if "ingest" in stages:
+        corpus = run(
+            "ingest", _stage_ingest, source, inp["format"], pre["smooth_window"],
+            pre["thresholds"], pre["on_missing"], pre["interval_minutes"],
+        )
+    else:
+        corpus = seqio.load_corpus(source)
+    # delta is bounded by the day length
+    day = {"target_length": corpus.length}
+    config = replace(syn["config"], **day) if "synth" in stages else None
+    grid = _grid(syn["config"], sw, **day) if "sweep" in stages and "sweep" in cfg else None
+    count = len(corpus) if syn["count"] is None else syn["count"]
+    states = ev["states"]
+    if isinstance(states, str):
+        states = None if states == "top5" else states.split(",")
+
+    assignment = None
+    if clu["enabled"] and "cluster" in stages:
+        labels = None if clu["labels_path"] is None else root / clu["labels_path"]
+        assignment = run(
+            "cluster", _stage_cluster, corpus, clu["metric"], clu["linkage"],
+            tuple(clu["k_range"]), clu["min_size"], labels,
+        )
+    elif clu["enabled"]:
+        # synthesize_batch rejects a file that misses any corpus id
+        assignment = seqio.load_cluster_labels(root / clu["labels_path"])
+
+    if "synth" in stages:
+        methods = run("synth", lambda *where: {
+            engine: _stage_synth(
+                corpus, config, count, engine, assignment, syn["weights"], workers,
+                out_format, engine if pipeline else "synth", *where,
+            )
+            for engine in syn["engines"]
+        })
+    elif methods is not None:
+        alphabet = corpus.alphabet
+        methods = {
+            name: seqio.load_corpus(root / path, alphabet=alphabet, extend_alphabet=False)
+            for name, path in methods.items()
+        }
+    if "eval" in stages:
+        run("eval", _stage_eval, corpus, methods, states, ev["include_zero_combined"])
+    if grid is not None:
+        run(
+            "sweep", _stage_sweep, corpus, grid, count, sw["engine"], assignment,
+            syn["weights"], workers, states, ev["include_zero_combined"],
+        )
+    if pipeline:
+        manifest = {"config_hash": cfg_hash, "stages": sorted(timings)}
+        manifest["timings_seconds"] = {k: round(v, 3) for k, v in timings.items()}
+        seqio.write_json(manifest, outdir / "pipeline_manifest.json")
+
+
+# ---------------------------------------------------------------------------
+# subcommands: flags -> config sections -> runner
+
+
+def _subcommand(args, cfg: dict, hashed: dict | None = None, **options) -> int:
+    """Run the command's one stage into ``--output``.
+
+    The config hash covers the command, ``cfg`` and ``hashed`` (what else
+    decides the output bytes), never the worker count.
+    """
+    cfg_hash = _config_hash({"command": args.command, **cfg, **(hashed or {})})
+    workers = getattr(args, "workers", None)
+    _run(cfg, (args.command,), args.output, cfg_hash, workers=workers, **options)
+    return EXIT_OK
+
+
+def _given(**flags) -> dict:
+    return {key: value for key, value in flags.items() if value is not None}
+
+
+def _synth_sections(args) -> dict:
+    """input, synth and (with --assignment) cluster sections of synth or sweep.
+
+    The synth section is the ``--config`` file's keys with the flags laid
+    over them; an unset seed is drawn and printed.
+    """
+    section = {} if args.config is None else _load_json_config(args.config)
+    for key in ("engines", "workers"):  # set by --engine and --workers
+        if key in section:
+            raise ConfigError(f"unknown synthesis config key(s): {key}")
+    given = section.get("sampler", {})
+    sampler = dict(given) if isinstance(given, dict) else {"type": given}
+    sampler.update(_given(type=args.sampler, bandwidth_rule=args.bandwidth))
+    section["sampler"] = sampler
+    weights = None if args.weights is None else _parse_list(args.weights, float)
+    flags = ("delta", "order", "buffer", "duration_pool", "count", "seed")
+    section.update(_given(weights=weights, **{key: getattr(args, key) for key in flags}))
+    if section.get("seed") is None:
+        section["seed"] = secrets.randbits(63)
+        print(f"seed={section['seed']}")
+    cfg = {"input": {"path": args.corpus}, "synth": section}
+    if args.assignment is not None:
+        cfg["cluster"] = {"enabled": True, "labels_path": args.assignment}
+    return cfg
+
+
+def _eval_section(args) -> dict:
+    return {"states": args.states, "include_zero_combined": args.include_zero_combined}
 
 
 def cmd_ingest(args) -> int:
-    outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
-    thresholds = _parse_float_list(args.thresholds) if args.thresholds else None
-    effective = {
-        "command": "ingest",
-        "input": str(args.input),
-        "format": args.format,
-        "smooth": args.smooth,
-        "thresholds": thresholds,
+    preprocess = {
+        "smooth_window": args.smooth,
+        # a flag with no numbers in it gives no thresholds
+        "thresholds": _parse_list(args.thresholds or "", float) or None,
         "on_missing": "drop" if args.drop_missing else "error",
         "interval_minutes": args.interval_minutes,
     }
-    _stage_ingest(
-        args.input,
-        args.format,
-        outdir,
-        args.smooth,
-        thresholds,
-        "drop" if args.drop_missing else "error",
-        args.interval_minutes,
-        _config_hash(effective),
-    )
-    return EXIT_OK
+    cfg = {"input": {"path": args.input, "format": args.format}, "preprocess": preprocess}
+    return _subcommand(args, cfg)
 
 
 def cmd_cluster(args) -> int:
-    outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
-    corpus = seqio.load_corpus(args.corpus)
-    k_range = _parse_k_range(args.k_range)
-    effective = {
-        "command": "cluster",
-        "corpus": str(args.corpus),
+    cluster = {
+        "enabled": True,
         "metric": args.metric,
         "linkage": args.linkage,
-        "k_range": list(k_range),
+        "k_range": _parse_list(args.k_range, sep=":"),
         "min_size": args.min_size,
-        "labels": None if args.labels is None else str(args.labels),
+        "labels_path": args.labels,
     }
-    _stage_cluster(
-        corpus,
-        outdir,
-        args.metric,
-        args.linkage,
-        k_range,
-        args.min_size,
-        args.labels,
-        _config_hash(effective),
-    )
-    return EXIT_OK
-
-
-def _synth_settings(args, corpus: Corpus, delta: int | None = None):
-    """Merge --config file values with flag overrides.
-
-    A given ``delta`` replaces the flag and file values.
-    """
-    file_cfg: dict = {}
-    if args.config is not None:
-        file_cfg = _load_json_config(args.config)
-    if delta is None:
-        delta = _pick(args.delta, file_cfg, "delta", 60)
-    # delta is bounded by the day length, so validate the one used against
-    # this corpus
-    base, file_count, file_weights = synth.config_from_dict(
-        {**file_cfg, "delta": delta, "target_length": corpus.length}
-    )
-    sampler = args.sampler if args.sampler is not None else base.sampler
-    bandwidth = args.bandwidth if args.bandwidth is not None else base.kde_bandwidth
-    seed = _resolve_seed(args.seed if args.seed is not None else file_cfg.get("seed"))
-    config = synth.SynthesisConfig(
-        delta=delta,
-        order=_pick(args.order, file_cfg, "order", 1),
-        target_length=corpus.length,
-        sampler=sampler,
-        kde_bandwidth=bandwidth,
-        buffer=_pick(args.buffer, file_cfg, "buffer", "tvmc"),
-        seed=seed,
-        duration_pool=_pick(args.duration_pool, file_cfg, "duration_pool", "window"),
-    )
-    count = args.count if args.count is not None else file_count
-    if count is None:
-        count = len(corpus)
-    weights = (
-        _parse_float_list(args.weights) if args.weights is not None else file_weights
-    )
-    return config, count, weights
-
-
-def _load_assignment(args, corpus: Corpus):
-    if getattr(args, "assignment", None) is None:
-        return None
-    # synthesize_batch rejects a file that misses any corpus id
-    return seqio.load_cluster_labels(args.assignment)
+    return _subcommand(args, {"input": {"path": args.corpus}, "cluster": cluster})
 
 
 def cmd_synth(args) -> int:
-    outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
-    corpus = seqio.load_corpus(args.corpus)
-    config, count, weights = _synth_settings(args, corpus)
-    assignment = _load_assignment(args, corpus)
-    effective = {
-        "command": "synth",
-        "corpus": str(args.corpus),
-        "engine": args.engine,
-        "assignment": None if args.assignment is None else str(args.assignment),
-        "weights": weights,
-        "format": args.format,
-        **synth.config_to_dict(config, count=count),
-    }
-    _stage_synth(
-        corpus,
-        config,
-        count,
-        args.engine,
-        assignment,
-        weights,
-        args.workers,
-        outdir,
-        args.format,
-        _config_hash(effective),
-    )
-    return EXIT_OK
+    cfg = _synth_sections(args)
+    cfg["synth"]["engines"] = [args.engine]
+    return _subcommand(args, cfg, {"format": args.format}, out_format=args.format)
 
 
 def cmd_eval(args) -> int:
-    outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
-    original = seqio.load_corpus(args.original)
-    methods: dict[str, Corpus] = {}
+    methods: dict[str, str] = {}
     for entry in args.method:
         name, sep, path = entry.partition("=")
         if not sep or not name or not path:
             raise ConfigError(f"expected --method NAME=PATH, got {entry!r}")
-        methods[name] = seqio.load_corpus(
-            path, alphabet=original.alphabet, extend_alphabet=False
-        )
-    effective = {
-        "command": "eval",
-        "original": str(args.original),
-        "methods": sorted(methods),
-        "states": args.states,
-        "include_zero_combined": args.include_zero_combined,
-    }
-    _stage_eval(
-        original,
-        methods,
-        args.states,
-        args.include_zero_combined,
-        outdir,
-        _config_hash(effective),
-    )
-    return EXIT_OK
+        _unique([*methods, name])
+        methods[name] = path
+    cfg = {"input": {"path": args.original}, "eval": _eval_section(args)}
+    return _subcommand(args, cfg, {"methods": sorted(methods)}, methods=methods)
 
 
 def cmd_sweep(args) -> int:
-    outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
-    corpus = seqio.load_corpus(args.corpus)
-    deltas = _parse_int_list(args.deltas)
-    orders = _parse_int_list(args.orders)
-    if not deltas or not orders:
-        raise ConfigError("sweep grid must contain at least one delta and one order")
-    # the grid replaces delta, so the base takes the first cell's
-    config, count, weights = _synth_settings(args, corpus, delta=deltas[0])
-    grid = _sweep_grid(config, deltas, orders)
-    assignment = _load_assignment(args, corpus)
-    effective = {
-        "command": "sweep",
-        "corpus": str(args.corpus),
-        "deltas": deltas,
-        "orders": orders,
-        "engine": args.engine,
-        "states": args.states,
-        **synth.config_to_dict(config, count=count, weights=weights),
-    }
-    _stage_sweep(
-        corpus,
-        grid,
-        count,
-        args.engine,
-        assignment,
-        weights,
-        args.workers,
-        args.states,
-        args.include_zero_combined,
-        outdir,
-        _config_hash(effective),
-    )
-    return EXIT_OK
-
-
-def _check_pipeline_types(
-    input_format, pre: dict, cluster_cfg: dict, eval_cfg: dict, engines, workers
-) -> None:
-    """Check the pipeline's own fields before any stage runs.
-
-    ``cluster.k_range`` order and ``preprocess.thresholds`` are checked only
-    where a stage reads them: data-driven clustering and continuous input.
-    """
-    for name, value in (
-        ("cluster.enabled", cluster_cfg.get("enabled", False)),
-        ("eval.include_zero_combined", eval_cfg.get("include_zero_combined", False)),
-    ):
-        if not isinstance(value, bool):
-            raise ConfigError(f"{name} must be true or false, got {value!r}")
-    required = [
-        ("preprocess.interval_minutes", pre.get("interval_minutes", 1)),
-        ("synth.workers", workers),
-    ]
-    optional = [
-        ("preprocess.smooth_window", pre.get("smooth_window")),
-        ("cluster.min_size", cluster_cfg.get("min_size")),
-    ]
-    k_range = cluster_cfg.get("k_range", [2, 10])
-    if not isinstance(k_range, (list, tuple)) or len(k_range) != 2:
-        raise ConfigError(f"cluster.k_range must be two integers, got {k_range!r}")
-    required += [("cluster.k_range", k) for k in k_range]
-    for name, value in required + [f for f in optional if f[1] is not None]:
-        synth._require_int(name, value)
-    clustering = cluster_cfg.get("enabled", False)
-    if clustering and cluster_cfg.get("labels_path") is None and k_range[0] > k_range[1]:
-        raise ConfigError(f"cluster.k_range must satisfy lo <= hi, got {k_range!r}")
-    thresholds = pre.get("thresholds")
-    if input_format == seqio.CONTINUOUS and thresholds is not None and not (
-        isinstance(thresholds, list)
-        and thresholds
-        and all(_finite_number(t) for t in thresholds)
-    ):
-        raise ConfigError(
-            f"preprocess.thresholds must be a non-empty list of finite numbers, "
-            f"got {thresholds!r}"
-        )
-    states = eval_cfg.get("states")
-    if not (
-        states is None
-        or isinstance(states, str)
-        or (isinstance(states, list) and all(isinstance(s, str) for s in states))
-    ):
-        raise ConfigError(f"eval.states must be a string or a list of strings, got {states!r}")
-    if not (isinstance(engines, list) and engines and all(e in synth.ENGINES for e in engines)):
-        raise ConfigError(
-            f"synth.engines must be a non-empty list drawn from {list(synth.ENGINES)}, "
-            f"got {engines!r}"
-        )
-
-
-def _finite_number(value) -> bool:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    return isinstance(value, int) or math.isfinite(value)
+    cfg = _synth_sections(args)
+    cfg["synth"].pop("delta", None)  # the grid replaces it
+    cfg["eval"] = _eval_section(args)
+    deltas, orders = _parse_list(args.deltas), _parse_list(args.orders)
+    cfg["sweep"] = {"deltas": deltas, "orders": orders, "engine": args.engine}
+    return _subcommand(args, cfg)
 
 
 def cmd_pipeline(args) -> int:
     cfg_path = Path(args.config)
     cfg = _load_json_config(cfg_path)
-    root = cfg_path.parent
-
-    def _path(value):
-        p = Path(value)
-        return p if p.is_absolute() else root / p
-
-    outdir = Path(
-        args.output
-        if args.output is not None
-        else cfg.get("output_dir", _default_outdir())
-    )
-    outdir.mkdir(parents=True, exist_ok=True)
-    cfg_hash = _config_hash(cfg)
-    timings: dict[str, float] = {}
-
-    input_cfg = cfg.get("input", {})
-    if not input_cfg.get("path"):
-        raise ConfigError("pipeline config requires input.path")
-    pre = cfg.get("preprocess", {})
-    cluster_cfg = cfg.get("cluster", {})
-    synth_cfg = dict(cfg.get("synth", {}))
-    engines = synth_cfg.pop("engines", ["paired-mc", "tvmc"])
-    file_workers = synth_cfg.pop("workers", 1)
-    eval_cfg = cfg.get("eval", {})
-    _check_pipeline_types(
-        input_cfg.get("format", seqio.INTERVAL), pre, cluster_cfg, eval_cfg, engines,
-        file_workers,
-    )
-
-    t0 = time.perf_counter()
-    corpus = _stage_ingest(
-        _path(input_cfg["path"]),
-        input_cfg.get("format", seqio.INTERVAL),
-        outdir / "ingest",
-        pre.get("smooth_window"),
-        pre.get("thresholds"),
-        pre.get("on_missing", "error"),
-        pre.get("interval_minutes", 1),
-        cfg_hash,
-    )
-    timings["ingest"] = time.perf_counter() - t0
-
-    assignment = None
-    if cluster_cfg.get("enabled", False):
-        t0 = time.perf_counter()
-        labels_path = cluster_cfg.get("labels_path")
-        assignment = _stage_cluster(
-            corpus,
-            outdir / "cluster",
-            cluster_cfg.get("metric", "hamming"),
-            cluster_cfg.get("linkage", "complete"),
-            tuple(cluster_cfg.get("k_range", (2, 10))),
-            cluster_cfg.get("min_size"),
-            None if labels_path is None else _path(labels_path),
-            cfg_hash,
-        )
-        timings["cluster"] = time.perf_counter() - t0
-
-    workers = args.workers if args.workers is not None else file_workers
-    base_config, count, weights = synth.config_from_dict(
-        {**synth_cfg, "target_length": corpus.length}
-    )
-    if count is None:
-        count = len(corpus)
-    sweep_cfg = cfg.get("sweep")
-    sweep_grid = None
-    if sweep_cfg:
-        sweep_grid = _sweep_grid(
-            base_config,
-            sweep_cfg.get("deltas", [30, 60, 120]),
-            sweep_cfg.get("orders", [1, 2]),
-        )
-
-    t0 = time.perf_counter()
-    methods: dict[str, Corpus] = {}
-    for engine in engines:
-        methods[engine] = _stage_synth(
-            corpus,
-            base_config,
-            count,
-            engine,
-            assignment,
-            weights,
-            workers,
-            outdir / "synth",
-            seqio.INTERVAL,
-            cfg_hash,
-            corpus_name=engine,
-        )
-    timings["synth"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    _stage_eval(
-        corpus,
-        methods,
-        eval_cfg.get("states", "top5"),
-        eval_cfg.get("include_zero_combined", False),
-        outdir / "eval",
-        cfg_hash,
-    )
-    timings["eval"] = time.perf_counter() - t0
-
-    if sweep_grid is not None:
-        t0 = time.perf_counter()
-        _stage_sweep(
-            corpus,
-            sweep_grid,
-            count,
-            sweep_cfg.get("engine", "paired-mc"),
-            assignment,
-            weights,
-            workers,
-            eval_cfg.get("states", "top5"),
-            eval_cfg.get("include_zero_combined", False),
-            outdir / "sweep",
-            cfg_hash,
-        )
-        timings["sweep"] = time.perf_counter() - t0
-
-    seqio.write_json(
-        {
-            "config_hash": cfg_hash,
-            "stages": sorted(timings),
-            "timings_seconds": {k: round(v, 3) for k, v in timings.items()},
-        },
-        outdir / "pipeline_manifest.json",
+    _run(
+        cfg, ("ingest", "cluster", "synth", "eval", "sweep"), args.output,
+        _config_hash(cfg), root=cfg_path.parent, workers=args.workers, pipeline=True,
     )
     return EXIT_OK
 
@@ -724,64 +563,50 @@ def cmd_pipeline(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="seqsynth",
-        description="Synthesize and evaluate long categorical sequences.",
+        prog="seqsynth", description="Synthesize and evaluate long categorical sequences."
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="normalize input data to an interval corpus")
+    def command(func, help: str, output=_default_outdir()) -> argparse.ArgumentParser:
+        p = sub.add_parser(func.__name__.removeprefix("cmd_"), help=help)
+        p.add_argument("--output", default=output)
+        p.set_defaults(func=func)
+        return p
+
+    p = command(cmd_ingest, "normalize input data to an interval corpus")
     p.add_argument("--input", required=True)
-    p.add_argument(
-        "--format",
-        choices=(seqio.INTERVAL, seqio.EPISODE, seqio.CONTINUOUS),
-        default=seqio.INTERVAL,
-    )
+    p.add_argument("--format", choices=_INPUT_FORMATS, default=seqio.INTERVAL)
     p.add_argument("--smooth", type=int, default=None, help="rolling mean window")
     p.add_argument("--thresholds", default=None, help="e.g. 760,2020 (zero is implied)")
     p.add_argument("--drop-missing", action="store_true")
     p.add_argument("--interval-minutes", type=int, default=1)
-    p.add_argument("--output", default=_default_outdir())
-    p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("cluster", help="pre-cluster an ingested corpus")
+    p = command(cmd_cluster, "pre-cluster an ingested corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--metric", choices=("hamming",), default="hamming")
     p.add_argument("--linkage", choices=clustering.LINKAGES, default="complete")
     p.add_argument("--k-range", default="2:10")
     p.add_argument("--min-size", type=int, default=None)
     p.add_argument("--labels", default=None, help="user-driven assignment CSV")
-    p.add_argument("--output", default=_default_outdir())
-    p.set_defaults(func=cmd_cluster)
 
-    p = sub.add_parser("synth", help="synthesize a corpus")
+    p = command(cmd_synth, "synthesize a corpus")
     _add_synth_flags(p)
-    p.add_argument("--engine", choices=synth.ENGINES, default="paired-mc")
     p.add_argument("--format", choices=seqio.CORPUS_FORMATS, default=seqio.INTERVAL)
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("eval", help="compare synthesized corpora to an original")
+    p = command(cmd_eval, "compare synthesized corpora to an original")
     p.add_argument("--original", required=True)
     p.add_argument("--method", action="append", required=True, metavar="NAME=PATH")
-    p.add_argument("--states", default="top5")
-    p.add_argument("--include-zero-combined", action="store_true")
-    p.add_argument("--output", default=_default_outdir())
-    p.set_defaults(func=cmd_eval)
+    _add_eval_flags(p)
 
-    p = sub.add_parser("sweep", help="synth+eval over a (delta, order) grid")
+    p = command(cmd_sweep, "synth+eval over a (delta, order) grid")
     _add_synth_flags(p)
-    p.add_argument("--engine", choices=synth.ENGINES, default="paired-mc")
+    _add_eval_flags(p)
     p.add_argument("--deltas", default="30,60,120")
     p.add_argument("--orders", default="1,2")
-    p.add_argument("--states", default="top5")
-    p.add_argument("--include-zero-combined", action="store_true")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("pipeline", help="run every stage from one JSON config")
+    p = command(cmd_pipeline, "run every stage from one JSON config", output=None)
     p.add_argument("--config", required=True)
-    p.add_argument("--output", default=None)
     p.add_argument("--workers", type=int, default=None)
-    p.set_defaults(func=cmd_pipeline)
-
     return parser
 
 
@@ -789,6 +614,7 @@ def _add_synth_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--corpus", required=True)
     p.add_argument("--assignment", default=None, help="cluster assignment CSV")
     p.add_argument("--config", default=None, help="synthesis config JSON")
+    p.add_argument("--engine", choices=synth.ENGINES, default="paired-mc")
     p.add_argument("--delta", type=int, default=None)
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--sampler", choices=synth.SAMPLERS, default=None)
@@ -799,29 +625,22 @@ def _add_synth_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--weights", default=None, help="per-cluster weights a,b,c")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--output", default=_default_outdir())
 
 
-def _emit_error(exc: Exception, code: int, **extra) -> None:
-    payload = {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
-    payload.update(extra)
-    print(json.dumps(payload, sort_keys=True), file=sys.stderr)
+def _add_eval_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--states", default="top5")
+    p.add_argument("--include-zero-combined", action="store_true")
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        _emit_error(exc, EXIT_CONFIG)
-        return EXIT_CONFIG
-    except (DataFormatError, SeqSynthError) as exc:
-        _emit_error(exc, EXIT_DATA)
-        return EXIT_DATA
-    except OSError as exc:
-        _emit_error(exc, EXIT_DATA)
-        return EXIT_DATA
+    except (SeqSynthError, OSError) as exc:
+        code = EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_DATA
+        payload = {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
+        print(json.dumps(payload, sort_keys=True), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -32,6 +32,9 @@ EPISODE = "episode"
 CONTINUOUS = "continuous"
 CORPUS_FORMATS = (INTERVAL, EPISODE)
 
+# the longest day np.repeat can count; nothing bounds a day below it yet
+_MAX_DAY = int(np.iinfo(np.intp).max)
+
 
 def _rows(fh) -> Iterator[tuple[int, list[str]]]:
     """Yield ``(row_no, cells)`` for each CSV row of ``fh``, numbered from 1.
@@ -58,10 +61,17 @@ def _writer(fh):
 
 
 def _quoted(fields: Iterable[str]) -> list[str]:
-    """Each field exactly as ``csv.writer`` writes it within a row of several."""
+    """Each field as ``csv.writer`` writes it within a row of several.
+
+    A field with a CR is always quoted: ``csv.writer`` quotes only the
+    characters of its LF line terminator, and a bare CR would split the row
+    when read back.
+    """
     lines: list[str] = []
     _writer(SimpleNamespace(write=lines.append)).writerows((f, "") for f in fields)
-    return [line[:-2] for line in lines]  # drop the empty field's "," and "\n"
+    fields = [line[:-2] for line in lines]  # drop the empty field's "," and "\n"
+    # an unquoted field holds no quote character, so it needs no escaping
+    return [f'"{f}"' if "\r" in f and not f.startswith('"') else f for f in fields]
 
 
 def _check_new_ids(seen: set, sid: str, row_no: int) -> None:
@@ -167,7 +177,7 @@ def _read_episode(rows, path, codes: dict[str, int]):
     if header != ["id", "state", "duration"]:
         raise DataFormatError(f"{path}: expected episode CSV header 'id,state,duration'")
     ids: list[str] = []
-    starts: list[int] = []
+    lengths: list[int] = []  # exact Python ints, so a huge day cannot wrap
     states: list[int] = []
     durations: list[int] = []
     seen: set[str] = set()
@@ -182,7 +192,7 @@ def _read_episode(rows, path, codes: dict[str, int]):
             _check_new_ids(seen, sid, row_no)
             current = sid
             ids.append(sid)
-            starts.append(len(states))
+            lengths.append(0)
         try:
             dur = int(dur_text)
         except ValueError:
@@ -191,15 +201,18 @@ def _read_episode(rows, path, codes: dict[str, int]):
             raise DataFormatError(f"row {row_no}: duration must be at least 1")
         states.append(codes.setdefault(state, len(codes)))
         durations.append(dur)
+        lengths[-1] += dur
 
     def to_matrix(perm: np.ndarray) -> np.ndarray:
-        lengths = np.add.reduceat(durations, starts)
-        bad = np.flatnonzero(lengths != lengths[0])
-        if bad.size:
-            i = bad[0]
-            raise DataFormatError(
-                f"sequence {ids[i]!r} has length {lengths[i]}, expected {lengths[0]}"
-            )
+        for sid, length in zip(ids, lengths):
+            if length > _MAX_DAY:
+                raise DataFormatError(
+                    f"sequence {sid!r} has length {length}, more than {_MAX_DAY} intervals"
+                )
+            if length != lengths[0]:
+                raise DataFormatError(
+                    f"sequence {sid!r} has length {length}, expected {lengths[0]}"
+                )
         return np.repeat(perm[states], durations).reshape(len(ids), lengths[0])
 
     return ids, to_matrix
@@ -219,10 +232,11 @@ def save_corpus(corpus: Corpus, path, format: str = INTERVAL) -> None:
                 fh.write(f"{sid},{','.join(cells[row].tolist())}\n")
         else:
             w.writerow(["id", "state", "duration"])
-            labels = np.array(corpus.alphabet.labels, dtype=object)
+            ids = _quoted(corpus.ids)
+            labels = np.array(_quoted(corpus.alphabet.labels), dtype=object)
             rows, _, states, durations = episode_table(corpus.states_matrix)
-            ids = [corpus.ids[r] for r in rows.tolist()]
-            w.writerows(zip(ids, labels[states].tolist(), durations.tolist()))
+            cells = zip(rows.tolist(), labels[states].tolist(), durations.tolist())
+            fh.writelines(f"{ids[row]},{label},{dur}\n" for row, label, dur in cells)
 
 
 def load_continuous(path, on_missing: str = "error") -> list[ContinuousSeries]:

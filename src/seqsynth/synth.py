@@ -135,10 +135,19 @@ def _require_int(name: str, value) -> None:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def _finite(value) -> bool:
+    """A JSON number, not a bool, that is a finite float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def _check_bandwidth(value) -> None:
     """None (Silverman's rule) or a finite positive number."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if value is not None and not (number and math.isfinite(value) and value > 0):
+    if value is not None and not (_finite(value) and value > 0):
         raise ConfigError(f"kde bandwidth must be a finite positive number, got {value!r}")
 
 
@@ -177,7 +186,16 @@ def config_from_dict(data: Mapping) -> tuple[SynthesisConfig, int | None, list |
     count = data.get("count")
     if count is not None:
         _require_int("count", count)
-    return cfg, count, data.get("weights")
+        if count < 0:
+            raise ConfigError("count must be non-negative")
+    weights = data.get("weights")
+    if weights is not None and not (
+        isinstance(weights, list) and weights and all(_finite(w) and w >= 0 for w in weights)
+    ):
+        raise ConfigError(
+            f"weights must be a non-empty list of finite non-negative numbers, got {weights!r}"
+        )
+    return cfg, count, weights
 
 
 def config_to_dict(

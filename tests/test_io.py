@@ -151,6 +151,36 @@ def test_labels_needing_csv_quoting_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize("fmt", [seqio.INTERVAL, seqio.EPISODE])
+@pytest.mark.parametrize(
+    "labels, day_id",
+    [(("a\rb", "c"), "d1"), (("c", "x\r"), "d1"), (("a", "b"), "d\r1")],
+    ids=["cr-inside-label", "cr-ending-last-label", "cr-inside-id"],
+)
+def test_bare_cr_round_trips(tmp_path, fmt, labels, day_id):
+    # csv.writer leaves a bare CR unquoted; read back, it would end the row
+    corpus = Corpus.from_arrays(StateAlphabet(labels), [[0, 1, 1]], ids=[day_id])
+    path = tmp_path / "cr.csv"
+    seqio.save_corpus(corpus, path, fmt)
+    assert seqio.load_corpus(path, fmt) == corpus
+
+
+@pytest.mark.parametrize(
+    "rows, day",
+    [
+        ("d1,home,99999999999999999999\n", "d1"),
+        ("d1,home,9223372036854775807\nd1,car,5\nd2,home,1440\n", "d1"),
+        ("d1,home,1440\nd2,home,9223372036854775807\nd2,car,5\n", "d2"),
+    ],
+    ids=["beyond-int64", "sum-beyond-int64", "later-day-beyond-int64"],
+)
+def test_episode_day_too_long_is_data_error(tmp_path, rows, day):
+    path = tmp_path / "episodes.csv"
+    path.write_text("id,state,duration\n" + rows, encoding="utf-8")
+    with pytest.raises(DataFormatError, match=rf"sequence '{day}' has length \d+, more than"):
+        seqio.load_corpus(path, seqio.EPISODE)
+
+
+@pytest.mark.parametrize("fmt", [seqio.INTERVAL, seqio.EPISODE])
 def test_header_only_file_is_empty_corpus_given_alphabet(tmp_path, corpus, fmt):
     # what saving an empty batch writes must load back
     empty = Corpus(corpus.alphabet, np.empty((0, 0)), ())

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 import tempfile
 from pathlib import Path
 
@@ -317,15 +318,21 @@ def test_save_bytes_and_round_trip_match_oracle(scratch, corpus, fmt):
     mine, ref = scratch / f"mine-{fmt}.csv", scratch / f"ref-{fmt}.csv"
     seqio.save_corpus(corpus, mine, fmt)
     oracle_save_corpus(corpus, ref, fmt)
-    assert mine.read_bytes() == ref.read_bytes()
-    text = ref.read_bytes().decode("utf-8")
+    if any(re.search("\r(?!\n)", f) for f in corpus.alphabet.labels + corpus.ids):
+        # the oracle leaves a bare CR unquoted, so its file splits that row;
+        # the quoted one must load back as the corpus saved
+        got = seqio.load_corpus(mine, fmt, alphabet=corpus.alphabet, extend_alphabet=False)
+        assert got == corpus
+    else:
+        assert mine.read_bytes() == ref.read_bytes()
+    text = mine.read_bytes().decode("utf-8")
     for alphabet, extend in (
         (None, True),
         (corpus.alphabet, False),
         (StateAlphabet(corpus.alphabet.labels[:1]), True),
         (StateAlphabet(corpus.alphabet.labels[:1]), False),
     ):
-        _check_load(ref, text, fmt, alphabet, extend)
+        _check_load(mine, text, fmt, alphabet, extend)
 
 
 @settings(max_examples=300, deadline=None)
