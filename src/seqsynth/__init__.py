@@ -56,7 +56,6 @@ from .synth import (
     BatchProvenance,
     CandidateIndex,
     Candidates,
-    DurationSampler,
     GenerationResult,
     PairedMcEngine,
     SynthesisConfig,
@@ -64,7 +63,6 @@ from .synth import (
     TvmcModel,
     build_index,
     extend_with_buffer,
-    sample_transition,
     synthesize_batch,
 )
 

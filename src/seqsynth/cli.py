@@ -287,6 +287,8 @@ _SCHEMA = {
     "synth": {
         "engines": (list(synth.ENGINES), _ENGINES),
         "workers": (1, _positive),
+        # the corpus's day length; another value fails once the corpus is read
+        "target_length": (None, _optional(synth._require_int)),
     },
     "eval": {
         "states": ("top5", _STATES),
@@ -399,6 +401,11 @@ def _run(
         )
     else:
         corpus = seqio.load_corpus(source)
+    if syn["target_length"] not in (None, corpus.length):
+        raise ConfigError(
+            f"synth.target_length {syn['target_length']} does not match the "
+            f"corpus day length {corpus.length}"
+        )
     # delta is bounded by the day length
     day = {"target_length": corpus.length}
     config = replace(syn["config"], **day) if "synth" in stages else None
@@ -533,6 +540,8 @@ def cmd_eval(args) -> int:
         if not sep or not name or not path:
             raise ConfigError(f"expected --method NAME=PATH, got {entry!r}")
         _unique([*methods, name])
+        if name == "original":
+            raise ConfigError('method name "original" is reserved')
         methods[name] = path
     cfg = {"input": {"path": args.original}, "eval": _eval_section(args)}
     return _subcommand(args, cfg, {"methods": sorted(methods)}, methods=methods)

@@ -32,8 +32,9 @@ EPISODE = "episode"
 CONTINUOUS = "continuous"
 CORPUS_FORMATS = (INTERVAL, EPISODE)
 
-# the longest day np.repeat can count; nothing bounds a day below it yet
-_MAX_DAY = int(np.iinfo(np.intp).max)
+# the longest episode-CSV day, checked before the matrix is allocated; a
+# year of one-minute intervals (525,600) fits
+_MAX_DAY = 2**20
 
 
 def _rows(fh) -> Iterator[tuple[int, list[str]]]:

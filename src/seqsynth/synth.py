@@ -35,7 +35,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .clustering import ClusterAssignment, ClusterWeights, sample_cluster
-from .core import Corpus, Episode, episode_table
+from .core import Corpus, episode_table
 from .errors import ConfigError, DataFormatError
 
 __all__ = [
@@ -49,14 +49,11 @@ __all__ = [
     "Candidates",
     "CandidateIndex",
     "build_index",
-    "DurationSampler",
     "silverman_bandwidth",
-    "sample_transition",
     "extend_with_buffer",
     "GenerationResult",
     "PairedMcEngine",
     "TvmcEngine",
-    "verify_realizable",
     "SequenceProvenance",
     "BatchProvenance",
     "synthesize_batch",
@@ -471,58 +468,6 @@ def silverman_bandwidth(values: np.ndarray) -> float:
     return 0.9 * spread * m ** (-0.2)
 
 
-@dataclass(frozen=True)
-class DurationSampler:
-    """Duration draw strategy: the observed value itself, or KDE-smoothed.
-
-    The direct sampler only ever returns observed durations.  The KDE
-    sampler adds Gaussian kernel noise to a uniformly chosen observation,
-    rounds to the nearest integer interval, and clamps to at least 1.
-    """
-
-    kind: str = "direct"
-    bandwidth: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in SAMPLERS:
-            raise ConfigError(f"unknown sampler {self.kind!r}")
-        _check_bandwidth(self.bandwidth)
-
-    def draw(self, durations: np.ndarray, rng: np.random.Generator) -> int:
-        value = int(durations[rng.integers(durations.size)])
-        if self.kind == "direct":
-            return value
-        h = self.bandwidth if self.bandwidth is not None else silverman_bandwidth(durations)
-        if h > 0.0:
-            value = int(np.rint(value + h * rng.standard_normal()))
-        return max(value, 1)
-
-
-def sample_transition(
-    cands: Candidates,
-    sampler: DurationSampler,
-    rng: np.random.Generator,
-    duration_pools: Mapping[int, np.ndarray] | None = None,
-) -> tuple[int, int]:
-    """Two-stage draw from a candidate multiset.
-
-    The state is chosen proportional to its multiplicity among the
-    candidates; the duration is then drawn from that state's candidate
-    durations (or, when ``duration_pools`` is given, from the supplied
-    per-state pool instead).
-    """
-    if cands.size == 0:
-        raise ValueError("no candidates")
-    uniq, counts = np.unique(cands.states, return_counts=True)
-    cum = counts.cumsum()
-    state = int(uniq[np.searchsorted(cum, rng.random() * cum[-1], side="right")])
-    if duration_pools is not None:
-        pool = np.asarray(duration_pools[state])
-    else:
-        pool = cands.durations[cands.states == state]
-    return state, sampler.draw(pool, rng)
-
-
 def extend_with_buffer(
     corpus: Corpus, model: TvmcModel, delta: int, rng: np.random.Generator
 ) -> Corpus:
@@ -543,17 +488,12 @@ def extend_with_buffer(
 
 @dataclass(frozen=True)
 class GenerationResult:
-    """One generated sequence plus its internal episode chain.
+    """One generated sequence of exactly the target length.
 
-    ``states`` has exactly the target length.  ``episodes`` (only from
-    the one-stream :meth:`PairedMcEngine.generate`, None in batches) is
-    the internal chain before truncation: durations are as sampled, so
-    the final episode may overrun the horizon.  ``fallbacks`` counts how
-    often each recovery rule fired.
+    ``fallbacks`` counts how often each recovery rule fired.
     """
 
     states: np.ndarray
-    episodes: tuple[Episode, ...] | None
     fallbacks: dict[str, int]
 
     @property
@@ -583,10 +523,10 @@ class PairedMcEngine:
     ladder (order k down to 1, each order through the widened windows)
     over the unfinished sequences; each sequence then draws from its own
     stream exactly as a one-sequence loop would: a uniform record of its
-    candidate range (direct sampler, windowed durations), a two-stage
-    :func:`sample_transition` draw otherwise, or one baseline interval
-    when no rung has a candidate.  A sequence's output depends only on
-    its stream, never on the rest of the batch.
+    candidate range (direct sampler, windowed durations), a state by its
+    multiplicity and then a duration for it otherwise, or one baseline
+    interval when no rung has a candidate.  A sequence's output depends
+    only on its stream, never on the rest of the batch.
     """
 
     name = "paired-mc"
@@ -609,25 +549,28 @@ class PairedMcEngine:
             buffered = corpus
             self.stop = self.n
         self.index = build_index(buffered, config.delta, config.order)
-        self.sampler = DurationSampler(config.sampler, config.kde_bandwidth)
-        self.duration_pools = (
-            _all_day_durations(corpus) if config.duration_pool == "all_day" else None
-        )
         # every widened window is tried before dropping an order
         self._widen = (1,) if config.delta == 0 else _WIDEN_FACTORS
-
-    def generate(self, rng: np.random.Generator) -> GenerationResult:
-        """One sequence with its internal episode chain."""
-        [(states, starts, end)], [fallbacks] = self._run([rng])
-        durations = np.diff(starts + [end]).tolist()
-        episodes = tuple(Episode(*ep) for ep in zip(states, durations, starts))
-        return GenerationResult(self._expand(states, starts, end), episodes, fallbacks)
+        self._by_state = None
+        if config.sampler != "direct" or config.duration_pool == "all_day":
+            # index positions grouped by record state, state * span + position:
+            # a state's records in a window are one contiguous run of it
+            index = self.index
+            span = index.records.size
+            self._by_state = np.sort(index.states[index.records] * span + np.arange(span))
+            # (durations, bounds): the all_day pool of state s is
+            # durations[bounds[s]:bounds[s + 1]]; without bounds, a state's
+            # window pool is its slice of the durations in by_state order
+            if config.duration_pool == "all_day":
+                self._pool = _all_day_durations(corpus)
+            else:
+                self._pool = (index.durations[index.records[self._by_state % span]], None)
 
     def generate_many(self, rngs: Sequence[np.random.Generator]) -> list[GenerationResult]:
-        """One sequence per stream, in order, without episode chains."""
+        """One sequence per stream, in order."""
         chains, fallbacks = self._run(rngs)
         return [
-            GenerationResult(self._expand(*chain), None, fb)
+            GenerationResult(self._expand(*chain), fb)
             for chain, fb in zip(chains, fallbacks)
         ]
 
@@ -647,7 +590,6 @@ class PairedMcEngine:
         context = np.zeros((len(rngs), MAX_ORDER - 1), dtype=np.int64)
         depth = np.zeros(len(rngs), dtype=np.int64)
         fallbacks = np.zeros((len(rngs), len(_FALLBACKS)), dtype=np.int64)
-        fast = self.config.sampler == "direct" and self.duration_pools is None
 
         live = np.flatnonzero(end < self.stop)
         while live.size:
@@ -658,7 +600,7 @@ class PairedMcEngine:
             nxt = np.empty(live.size, dtype=np.int64)
             dur = np.ones(live.size, dtype=np.int64)
             hits = np.flatnonzero(found)
-            if fast:
+            if self._by_state is None:
                 # uniform record draw == state-by-multiplicity then
                 # duration-within-state when both use the windowed set
                 offsets = [
@@ -668,14 +610,9 @@ class PairedMcEngine:
                 recs = index.records[lo[hits] + np.asarray(offsets, dtype=np.int64)]
                 nxt[hits], dur[hits] = index.states[recs], index.durations[recs]
             else:
-                for j in hits.tolist():
-                    recs = index.records[lo[j] : hi[j]]
-                    nxt[j], dur[j] = sample_transition(
-                        Candidates(index.states[recs], index.durations[recs]),
-                        self.sampler,
-                        rngs[live[j]],
-                        self.duration_pools,
-                    )
+                nxt[hits], dur[hits] = self._two_stage(
+                    [rngs[r] for r in live[hits].tolist()], lo[hits], hi[hits]
+                )
             for j in np.flatnonzero(~found).tolist():
                 # final resort: a single baseline interval, then resume
                 r = live[j]
@@ -701,6 +638,46 @@ class PairedMcEngine:
 
         chains = list(zip(chain_states, chain_starts, end.tolist()))
         return chains, [dict(zip(_FALLBACKS, row)) for row in fallbacks.tolist()]
+
+    def _two_stage(self, rngs, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+        """A state by its multiplicity in each ``[lo, hi)``, then its duration.
+
+        Row i reads ``rngs[i]`` as a one-sequence draw does: ``random`` for
+        the state, ``integers`` for a position in that state's duration
+        pool, then ``standard_normal`` for the kde noise when the bandwidth
+        is positive.  A window pool is the state's records in ``[lo, hi)``
+        in index order; the all_day pool is every episode of the state.
+        """
+        span = self.index.records.size
+        base = np.arange(self.index.n_states) * span
+        first = np.searchsorted(self._by_state, base + lo[:, None])
+        counts = np.searchsorted(self._by_state, base + hi[:, None]) - first
+        cum = counts.cumsum(axis=1)
+        u = np.array([rng.random() for rng in rngs])
+        # a state with zero count never wins, so counting the cumulative
+        # counts <= u * total is the right-side search over present states
+        state = (cum <= (u * cum[:, -1])[:, None]).sum(axis=1)
+        values, bounds = self._pool
+        if bounds is None:
+            row = np.arange(state.size)
+            start, size = first[row, state], counts[row, state]
+        else:
+            start, size = bounds[state], bounds[state + 1] - bounds[state]
+        picks = [rng.integers(n) for rng, n in zip(rngs, size.tolist())]
+        dur = values[start + np.asarray(picks, dtype=np.int64)]
+        if self.config.sampler == "kde":
+            if self.config.kde_bandwidth is None:
+                # rows drawing from the same pool share its bandwidth
+                pools = list(zip(start.tolist(), size.tolist()))
+                rule = {p: silverman_bandwidth(values[p[0] : p[0] + p[1]]) for p in set(pools)}
+                h = np.array([rule[p] for p in pools], dtype=np.float64)
+            else:
+                h = np.full(dur.size, float(self.config.kde_bandwidth))
+            noisy = np.flatnonzero(h > 0.0)
+            z = np.array([rngs[j].standard_normal() for j in noisy.tolist()], dtype=np.float64)
+            dur[noisy] = np.rint(dur[noisy] + h[noisy] * z)
+            dur = np.maximum(dur, 1)
+        return state, dur
 
     def _ladder(self, cur, context, depth, t):
         """Candidate range ``[lo, hi)`` of each query from its first rung that has one.
@@ -733,12 +710,15 @@ class PairedMcEngine:
         return lo, hi, rung
 
 
-def _all_day_durations(corpus: Corpus) -> dict[int, np.ndarray]:
-    """Durations of every episode in the corpus, grouped by state."""
+def _all_day_durations(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
+    """Every episode's duration grouped by state, and each group's bounds.
+
+    Within a state the durations keep episode order.
+    """
     _, _, states, durs = episode_table(corpus.states_matrix)
-    return {
-        int(s): durs[states == s] for s in np.unique(states)
-    }
+    counts = np.bincount(states, minlength=corpus.alphabet.size)
+    bounds = np.concatenate(([0], counts.cumsum()))
+    return durs[np.argsort(states, kind="stable")], bounds
 
 
 class TvmcEngine:
@@ -767,31 +747,12 @@ class TvmcEngine:
         states[:, 0] = np.searchsorted(first, u[:, 0] * first[-1], side="right")
         states[:, 1:], fallbacks = self.model.walk(states[:, 0], 1, u[:, 1:])
         return [
-            GenerationResult(row, None, {"marginal": int(fb)})
+            GenerationResult(row, {"marginal": int(fb)})
             for row, fb in zip(states, fallbacks)
         ]
 
 
 _ENGINE_CLASSES = {"paired-mc": PairedMcEngine, "tvmc": TvmcEngine}
-
-
-def verify_realizable(
-    result: GenerationResult, index: CandidateIndex, config: SynthesisConfig
-) -> bool:
-    """Replay an order-1 direct generation against the index.
-
-    True when every non-initial internal episode matches at least one
-    index record with the right preceding state, state, duration, and a
-    start within the base window.  Only meaningful for generations with
-    zero fallbacks (fallback episodes are legitimately unindexed).
-    """
-    episodes = result.episodes or ()
-    for i in range(1, len(episodes)):
-        ep = episodes[i]
-        cands = index.candidates(episodes[i - 1].state, (), ep.start, config.delta, 1)
-        if not np.any((cands.states == ep.state) & (cands.durations == ep.duration)):
-            return False
-    return True
 
 
 @dataclass(frozen=True)

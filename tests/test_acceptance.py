@@ -33,7 +33,6 @@ from seqsynth import (
 from seqsynth import cli
 from seqsynth import io as seqio
 from seqsynth.clustering import ClusterAssignment, DistanceMatrix, dunn_index
-from seqsynth.synth import verify_realizable
 
 from _groundtruth import (
     BRIDGE_RULES,
@@ -41,6 +40,7 @@ from _groundtruth import (
     bridge_conditional,
     second_order_ground_truth,
 )
+from test_paired_mc_oracle import OracleEngine, verify_realizable
 from test_synth import brute_candidates, random_corpus
 
 REPO = Path(__file__).resolve().parents[1]
@@ -199,16 +199,22 @@ def test_criterion_2_round_trip_and_invariants(benchmark_corpus):
             if mat.min() < 0 or mat.max() >= corpus.alphabet.size:
                 violations.append(f"alphabet violation: {engine}")
 
-    # direct-sampler realizability replay (order 1, zero-fallback outputs)
+    # direct-sampler realizability replay (order 1, zero-fallback outputs):
+    # each engine row must equal the one-sequence oracle's on the same
+    # stream, whose episode chain is replayed against the engine's index
     replay_corpus = activity_ground_truth(300, 1440, seed=2003)
     config = SynthesisConfig(delta=60, order=1, target_length=1440, seed=7)
     engine = PairedMcEngine(replay_corpus, config)
-    gen_rng = np.random.default_rng(2004)
+    oracle = OracleEngine(replay_corpus, config)
+    gen_rng, oracle_rng = np.random.default_rng(2004), np.random.default_rng(2004)
     replayed = 0
     for _ in range(50):
-        result = engine.generate(gen_rng)
-        if result.fallback_total == 0:
-            if not verify_realizable(result, engine.index, config):
+        [result] = engine.generate_many([gen_rng])
+        chain = oracle.generate(oracle_rng)
+        if not np.array_equal(result.states, chain.states) or result.fallbacks != chain.fallbacks:
+            violations.append("engine row differs from the one-sequence oracle")
+        if chain.fallback_total == 0:
+            if not verify_realizable(chain, engine.index, config):
                 violations.append("realizability replay failed")
             replayed += 1
     if replayed < 40:

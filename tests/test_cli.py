@@ -321,6 +321,18 @@ class TestEval:
         assert code == cli.EXIT_CONFIG
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
+    def test_reserved_method_name_fails_before_any_read(self, tmp_path, corpus_csv, capsys):
+        out = tmp_path / "out"
+        code = run_cli(
+            "eval", "--original", corpus_csv, "--method", f"original={corpus_csv}",
+            "--output", out,
+        )
+        assert code == cli.EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"] == 'method name "original" is reserved'
+        assert not out.exists()
+
     def test_alphabet_mismatch_is_data_error(self, tmp_path, corpus_csv, capsys):
         other = Corpus.from_arrays(StateAlphabet(("zz",)), [[0] * 240])
         other_path = tmp_path / "other.csv"
@@ -638,6 +650,56 @@ class TestPipeline:
         assert err["error"] == "ConfigError"
         assert "detla" in err["message"]
         assert not (out / "synth").exists()
+
+    @pytest.mark.parametrize(
+        "length, message",
+        [
+            (30, "synth.target_length 30 does not match the corpus day length 240"),
+            ("abc", "synth.target_length must be an integer, got 'abc'"),
+        ],
+        ids=["other-length", "not-an-integer"],
+    )
+    def test_target_length_must_be_the_day_length(
+        self, tmp_path, corpus_csv, capsys, length, message
+    ):
+        cfg = {
+            "input": {"path": str(corpus_csv)},
+            "synth": {"target_length": length, "delta": 5, "seed": 18, "count": 2},
+        }
+        path = tmp_path / "pipeline.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        code = run_cli("pipeline", "--config", path, "--output", out)
+        assert code == cli.EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"] == message
+        assert not (out / "synth").exists()
+        # the same key in a synthesis config file fails before any output
+        path.write_text(json.dumps(cfg["synth"]))
+        code = run_cli("synth", "--corpus", corpus_csv, "--config", path, "--output", out)
+        assert code == cli.EXIT_CONFIG
+        assert json.loads(capsys.readouterr().err)["message"] == message
+        assert not (out / "synth.csv").exists()
+
+    def test_provenance_config_round_trips(self, tmp_path, corpus_csv):
+        # the provenance names the day length, which a rerun accepts
+        first, second = tmp_path / "first", tmp_path / "second"
+        code = run_cli(
+            "synth", "--corpus", corpus_csv, "--delta", 5, "--seed", 19, "--count", 3,
+            "--output", first,
+        )
+        assert code == 0
+        config = json.loads((first / "synth_provenance.json").read_text())["config"]
+        assert config["target_length"] == 240
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code = run_cli(
+            "synth", "--corpus", corpus_csv, "--config", path, "--count", 3,
+            "--output", second,
+        )
+        assert code == 0
+        assert (first / "synth.csv").read_bytes() == (second / "synth.csv").read_bytes()
 
     def test_missing_config_is_config_error(self, tmp_path, capsys):
         code = run_cli("pipeline", "--config", tmp_path / "nope.json")

@@ -170,8 +170,9 @@ def test_bare_cr_round_trips(tmp_path, fmt, labels, day_id):
         ("d1,home,99999999999999999999\n", "d1"),
         ("d1,home,9223372036854775807\nd1,car,5\nd2,home,1440\n", "d1"),
         ("d1,home,1440\nd2,home,9223372036854775807\nd2,car,5\n", "d2"),
+        ("d1,home,1048577\n", "d1"),
     ],
-    ids=["beyond-int64", "sum-beyond-int64", "later-day-beyond-int64"],
+    ids=["beyond-int64", "sum-beyond-int64", "later-day-beyond-int64", "just-above-bound"],
 )
 def test_episode_day_too_long_is_data_error(tmp_path, rows, day):
     path = tmp_path / "episodes.csv"

@@ -4,12 +4,15 @@
 ``CandidateIndex`` (one ``_Block`` per preceding state, with order 2
 and 3 as masks over the window), and ``SynthesisState`` with
 ``OracleEngine.generate`` keep the former one-sequence generation loop.
-``PairedMcEngine.generate_many``, ``PairedMcEngine.generate`` and
+``DurationSampler`` and ``sample_transition`` keep the former per-draw
+two-stage sampler, and ``verify_realizable`` replays an oracle episode
+chain against the index.  ``PairedMcEngine.generate_many`` and
 ``synthesize_batch`` must reproduce them exactly: the same states and
 the same per-sequence fallback counts from the same streams.
 """
 
-from typing import NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 import pytest
@@ -21,7 +24,6 @@ from seqsynth import (
     ConfigError,
     Corpus,
     DataFormatError,
-    DurationSampler,
     PairedMcEngine,
     StateAlphabet,
     SynthesisConfig,
@@ -29,7 +31,6 @@ from seqsynth import (
     episode_table,
     extend_with_buffer,
     sample_cluster,
-    sample_transition,
     synthesize_batch,
 )
 from seqsynth import synth
@@ -38,9 +39,12 @@ from seqsynth.synth import (
     _BUFFER_STREAM,
     _SEQUENCE_STREAM,
     MAX_ORDER,
+    SAMPLERS as SAMPLER_KINDS,
+    CandidateIndex,
     Candidates,
     FirstEpisodeTable,
-    GenerationResult,
+    _check_bandwidth,
+    silverman_bandwidth,
 )
 
 from _groundtruth import activity_ground_truth
@@ -50,6 +54,77 @@ FALLBACK_KEYS = ("window_widened", "order_reduced", "tvmc_steps")
 _EMPTY_CANDIDATES = Candidates(
     np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
 )
+
+
+@dataclass(frozen=True)
+class DurationSampler:
+    """Duration draw strategy: the observed value itself, or KDE-smoothed.
+
+    The direct sampler only ever returns observed durations.  The KDE
+    sampler adds Gaussian kernel noise to a uniformly chosen observation,
+    rounds to the nearest integer interval, and clamps to at least 1.
+    """
+
+    kind: str = "direct"
+    bandwidth: float | None = None
+
+    def __post_init__(self):
+        if self.kind not in SAMPLER_KINDS:
+            raise ConfigError(f"unknown sampler {self.kind!r}")
+        _check_bandwidth(self.bandwidth)
+
+    def draw(self, durations: np.ndarray, rng: np.random.Generator) -> int:
+        value = int(durations[rng.integers(durations.size)])
+        if self.kind == "direct":
+            return value
+        h = self.bandwidth if self.bandwidth is not None else silverman_bandwidth(durations)
+        if h > 0.0:
+            value = int(np.rint(value + h * rng.standard_normal()))
+        return max(value, 1)
+
+
+def sample_transition(
+    cands: Candidates,
+    sampler: DurationSampler,
+    rng: np.random.Generator,
+    duration_pools: Mapping[int, np.ndarray] | None = None,
+) -> tuple[int, int]:
+    """Two-stage draw from a candidate multiset.
+
+    The state is chosen proportional to its multiplicity among the
+    candidates; the duration is then drawn from that state's candidate
+    durations (or, when ``duration_pools`` is given, from the supplied
+    per-state pool instead).
+    """
+    if cands.size == 0:
+        raise ValueError("no candidates")
+    uniq, counts = np.unique(cands.states, return_counts=True)
+    cum = counts.cumsum()
+    state = int(uniq[np.searchsorted(cum, rng.random() * cum[-1], side="right")])
+    if duration_pools is not None:
+        pool = np.asarray(duration_pools[state])
+    else:
+        pool = cands.durations[cands.states == state]
+    return state, sampler.draw(pool, rng)
+
+
+def verify_realizable(
+    result: "OracleResult", index: CandidateIndex, config: SynthesisConfig
+) -> bool:
+    """Replay an order-1 direct generation against the index.
+
+    True when every non-initial internal episode matches at least one
+    index record with the right preceding state, state, duration, and a
+    start within the base window.  Only meaningful for generations with
+    zero fallbacks (fallback episodes are legitimately unindexed).
+    """
+    episodes = result.episodes or ()
+    for i in range(1, len(episodes)):
+        ep = episodes[i]
+        cands = index.candidates(episodes[i - 1].state, (), ep.start, config.delta, 1)
+        if not np.any((cands.states == ep.state) & (cands.durations == ep.duration)):
+            return False
+    return True
 
 
 class _Block(NamedTuple):
@@ -165,6 +240,18 @@ class SynthesisState:
         )
 
 
+class OracleResult(NamedTuple):
+    """One sequence with its internal episode chain before truncation."""
+
+    states: np.ndarray
+    episodes: tuple[Episode, ...]
+    fallbacks: dict[str, int]
+
+    @property
+    def fallback_total(self) -> int:
+        return sum(self.fallbacks.values())
+
+
 def _all_day_durations(corpus: Corpus) -> dict[int, np.ndarray]:
     _, _, states, durs = episode_table(corpus.states_matrix)
     return {int(s): durs[states == s] for s in np.unique(states)}
@@ -194,7 +281,7 @@ class OracleEngine:
         )
         self._widen = (1,) if config.delta == 0 else (1, 2, 4)
 
-    def generate(self, rng: np.random.Generator) -> GenerationResult:
+    def generate(self, rng: np.random.Generator) -> OracleResult:
         cfg = self.config
         index = self.index
         stop = self.stop
@@ -253,7 +340,7 @@ class OracleEngine:
             np.asarray(run.states, dtype=np.int64),
             np.asarray(run.durations, dtype=np.int64),
         )[: self.n]
-        return GenerationResult(states, run.episodes(), fallbacks)
+        return OracleResult(states, run.episodes(), fallbacks)
 
 
 def sparse_corpus(rng, n_seq, length, n_states):
@@ -282,6 +369,7 @@ SAMPLERS = {
     "kde-silverman": {"sampler": "kde"},
     "kde-fixed": {"sampler": "kde", "kde_bandwidth": 1.5},
     "all-day": {"duration_pool": "all_day"},
+    "kde-all-day": {"sampler": "kde", "duration_pool": "all_day"},
 }
 
 
@@ -299,18 +387,16 @@ def _compare(corpus, config, n_rows=6):
     want = [oracle.generate(rng) for rng in _streams(config.seed, n_rows)]
     totals = dict.fromkeys(FALLBACK_KEYS, 0)
     for g, w in zip(got, want):
-        assert g.episodes is None
         assert g.states.dtype == w.states.dtype
         assert np.array_equal(g.states, w.states)
         assert list(g.fallbacks.items()) == list(w.fallbacks.items())
         for key in FALLBACK_KEYS:
             totals[key] += w.fallbacks[key]
-    # the one-stream path also rebuilds the episode chain
+    # a one-row block draws as a row of a larger one does
     [rng] = _streams(config.seed + 1, 1)
     [oracle_rng] = _streams(config.seed + 1, 1)
-    single, expected = engine.generate(rng), oracle.generate(oracle_rng)
+    [single], expected = engine.generate_many([rng]), oracle.generate(oracle_rng)
     assert np.array_equal(single.states, expected.states)
-    assert single.episodes == expected.episodes
     assert single.fallbacks == expected.fallbacks
     return totals
 

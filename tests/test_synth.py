@@ -7,7 +7,6 @@ from seqsynth import (
     ConfigError,
     Corpus,
     DataFormatError,
-    DurationSampler,
     IntervalSequence,
     PairedMcEngine,
     StateAlphabet,
@@ -17,7 +16,6 @@ from seqsynth import (
     build_index,
     extend_with_buffer,
     rle_encode,
-    sample_transition,
     synthesize_batch,
 )
 from seqsynth.synth import (
@@ -26,10 +24,15 @@ from seqsynth.synth import (
     config_from_dict,
     config_to_dict,
     silverman_bandwidth,
-    verify_realizable,
 )
 
 from _groundtruth import activity_ground_truth
+from test_paired_mc_oracle import (
+    DurationSampler,
+    OracleEngine,
+    sample_transition,
+    verify_realizable,
+)
 
 
 def brute_candidates(corpus, a_c, context, t_c, delta, order):
@@ -378,14 +381,14 @@ class TestPairedMc:
         day = [0] * 420 + [1] * 30 + [2] * 510 + [1] * 30 + [0] * 450
         corpus = Corpus.from_arrays(alphabet, [day] * 4)
         config = SynthesisConfig(delta=60, target_length=1440, seed=3)
-        out = PairedMcEngine(corpus, config).generate(np.random.default_rng(3))
+        out = PairedMcEngine(corpus, config).generate_many([np.random.default_rng(3)])[0]
         assert out.states.tolist() == day
 
     def test_constant_corpus_reproduced(self):
         alphabet = two_state_alphabet()
         corpus = Corpus.from_arrays(alphabet, [[0] * 100] * 3)
         config = SynthesisConfig(delta=10, target_length=100, seed=4)
-        out = PairedMcEngine(corpus, config).generate(np.random.default_rng(4))
+        out = PairedMcEngine(corpus, config).generate_many([np.random.default_rng(4)])[0]
         assert (out.states == 0).all()
 
     def test_exact_length_and_alphabet_closure(self):
@@ -397,7 +400,7 @@ class TestPairedMc:
             engine = PairedMcEngine(corpus, config)
             rng = np.random.default_rng(31 + order)
             for _ in range(5):
-                result = engine.generate(rng)
+                [result] = engine.generate_many([rng])
                 assert result.states.size == 500
                 assert result.states.min() >= 0
                 assert result.states.max() < corpus.alphabet.size
@@ -406,12 +409,17 @@ class TestPairedMc:
         corpus = activity_ground_truth(120, 400, seed=32)
         config = SynthesisConfig(delta=40, order=1, target_length=400, seed=6)
         engine = PairedMcEngine(corpus, config)
-        rng = np.random.default_rng(33)
+        oracle = OracleEngine(corpus, config)
+        # one stream each for the engine and the oracle chain it replays
+        rng, oracle_rng = np.random.default_rng(33), np.random.default_rng(33)
         checked = 0
         for _ in range(10):
-            result = engine.generate(rng)
-            if result.fallback_total == 0:
-                assert verify_realizable(result, engine.index, config)
+            [result] = engine.generate_many([rng])
+            chain = oracle.generate(oracle_rng)
+            assert np.array_equal(result.states, chain.states)
+            assert result.fallbacks == chain.fallbacks
+            if chain.fallback_total == 0:
+                assert verify_realizable(chain, engine.index, config)
                 checked += 1
         assert checked > 0  # dense corpus: most draws need no fallback
 
@@ -427,8 +435,8 @@ class TestPairedMc:
         rng = np.random.default_rng(28)
         seen = set()
         for _ in range(40):
-            result = engine.generate(rng)
-            episodes = result.episodes
+            [result] = engine.generate_many([rng])
+            episodes = rle_encode(IntervalSequence(result.states)).episodes
             first_switch = episodes[1].start if len(episodes) > 1 else None
             seen.add(first_switch)
             if first_switch == 60:
@@ -444,13 +452,13 @@ class TestPairedMc:
         )
         engine = PairedMcEngine(corpus, config)
         assert engine.stop == 300
-        result = engine.generate(np.random.default_rng(35))
+        result = engine.generate_many([np.random.default_rng(35)])[0]
         assert result.states.size == 300
 
     def test_kde_engine_runs(self):
         corpus = activity_ground_truth(30, 300, seed=36)
         config = SynthesisConfig(delta=30, target_length=300, seed=8, sampler="kde")
-        out = PairedMcEngine(corpus, config).generate(np.random.default_rng(8))
+        out = PairedMcEngine(corpus, config).generate_many([np.random.default_rng(8)])[0]
         assert out.states.size == 300
 
     def test_all_day_duration_pool(self):
@@ -458,7 +466,7 @@ class TestPairedMc:
         config = SynthesisConfig(
             delta=30, target_length=300, seed=9, duration_pool="all_day"
         )
-        out = PairedMcEngine(corpus, config).generate(np.random.default_rng(9))
+        out = PairedMcEngine(corpus, config).generate_many([np.random.default_rng(9)])[0]
         assert out.states.size == 300
 
     def test_target_length_mismatch_rejected(self):
@@ -657,8 +665,6 @@ class TestConfig:
     def test_bandwidth_must_be_finite(self, value):
         with pytest.raises(ConfigError, match="finite positive"):
             SynthesisConfig(sampler="kde", kde_bandwidth=value)
-        with pytest.raises(ConfigError, match="finite positive"):
-            DurationSampler("kde", bandwidth=value)
         with pytest.raises(ConfigError, match="finite positive"):
             config_from_dict({"sampler": {"type": "kde", "bandwidth_rule": value}})
 
