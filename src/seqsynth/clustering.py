@@ -189,6 +189,11 @@ class ClusterWeights:
     def normalized(self) -> np.ndarray:
         return self.weights / self.weights.sum()
 
+    def choose(self, u):
+        """Cluster of each uniform in ``u``: a categorical draw by weight."""
+        cum = np.cumsum(self.normalized())
+        return np.minimum(np.searchsorted(cum, u, side="right"), self.k - 1)
+
     @classmethod
     def from_assignment(cls, assignment: ClusterAssignment) -> "ClusterWeights":
         """Default weighting: cluster sizes (size-proportional draws)."""
@@ -388,6 +393,4 @@ def fold_small_clusters(
 
 def sample_cluster(weights: ClusterWeights, rng: np.random.Generator) -> int:
     """Categorical draw over clusters proportional to the weights."""
-    cum = np.cumsum(weights.normalized())
-    idx = int(np.searchsorted(cum, rng.random(), side="right"))
-    return min(idx, weights.k - 1)
+    return int(weights.choose(rng.random()))

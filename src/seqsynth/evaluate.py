@@ -168,11 +168,15 @@ def episode_count_stats(
     Keys are ``Overall`` plus, when requested, each alphabet label.
     """
     rows, _, states, _ = episode_table(corpus.states_matrix)
-    out = {OVERALL: _mean_sd(np.bincount(rows, minlength=len(corpus)))}
-    if per_state:
-        for idx, label in enumerate(corpus.alphabet.labels):
-            begins = rows[states == idx]
-            out[label] = _mean_sd(np.bincount(begins, minlength=len(corpus)))
+    labels = corpus.alphabet.labels if per_state else ()
+    return _episode_counts(rows, states, len(corpus), labels)
+
+
+def _episode_counts(rows, states, n_rows, labels) -> dict[str, tuple[float, float]]:
+    """``episode_count_stats`` from an episode table's rows and states."""
+    out = {OVERALL: _mean_sd(np.bincount(rows, minlength=n_rows))}
+    for idx, label in enumerate(labels):
+        out[label] = _mean_sd(np.bincount(rows[states == idx], minlength=n_rows))
     return out
 
 
@@ -321,12 +325,10 @@ def build_report(
         return zero_note
 
     corpora = {"original": original, **methods}
-    ep_arrays = {
-        name: episode_table(c.states_matrix)[2:] for name, c in corpora.items()
-    }
+    tables = {name: episode_table(c.states_matrix) for name, c in corpora.items()}
 
     def individual_values(name: str, state: str | None) -> np.ndarray:
-        ep_states, ep_durs = ep_arrays[name]
+        _, _, ep_states, ep_durs = tables[name]
         if state is None:
             values = ep_durs
         else:
@@ -374,7 +376,10 @@ def build_report(
             curves["combined"][key] = ecdf_curves(orig_comb, method_comb)
 
     counts: dict = {}
-    count_tables = {name: episode_count_stats(c) for name, c in corpora.items()}
+    count_tables = {
+        name: _episode_counts(table[0], table[2], len(corpora[name]), original.alphabet.labels)
+        for name, table in tables.items()
+    }
     for key in [OVERALL] + list(states):
         counts[key] = {
             name: {"mean": table[key][0], "sd": table[key][1]}
@@ -488,8 +493,7 @@ def write_report(report: EvaluationReport, outdir, config_hash: str | None = Non
 
 
 def _write_curve(path: Path, grid: np.ndarray, values: np.ndarray) -> None:
+    lines = [f"{g!r},{v!r}\n" for g, v in zip(grid.tolist(), values.tolist())]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["grid", "value"])
-        for g, v in zip(grid, values):
-            w.writerow([repr(float(g)), repr(float(v))])
+        fh.write("grid,value\n")
+        fh.writelines(lines)

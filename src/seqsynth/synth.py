@@ -22,6 +22,11 @@ Reproducibility contract: every output sequence is generated from an
 independent random stream derived from ``(config.seed, ordinal)``, so a
 batch is byte-identical for a given (corpus, config, count) regardless
 of how many workers run it or how its sequences are grouped into blocks.
+Every draw reads doubles of that stream in order (a clustered run spends
+the first on the cluster): a position in a pool of n is
+``min(floor(u * n), n - 1)``, a categorical draw is
+``searchsorted(cum, u * total, "right")``, and Gaussian kde noise is
+Box-Muller from two doubles, ``sqrt(-2 ln(1 - u1)) cos(2 pi u2)``.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .clustering import ClusterAssignment, ClusterWeights, sample_cluster
+from .clustering import ClusterAssignment, ClusterWeights
 from .core import Corpus, episode_table
 from .errors import ConfigError, DataFormatError
 
@@ -222,10 +227,10 @@ class TvmcModel:
     ``walk(start_states, t0, uniforms)`` advances every row in lockstep:
     row i starts from ``start_states[i]`` at interval ``t0 - 1`` and
     column k of ``uniforms`` draws its state at interval ``t0 + k``
-    given the state before it.  Times at or past the sequence length
-    reuse the statistics of ``t mod length``; the transition into
-    interval 0 is estimated from the day wrap (last interval -> first
-    interval).  When no transition was ever observed from a state at
+    given the state before it; ``t0`` is one time or one per row.  Times
+    at or past the sequence length reuse the statistics of ``t mod
+    length``; the transition into interval 0 is estimated from the day
+    wrap (last interval -> first interval).  When no transition was ever observed from a state at
     that time, the draw falls back to the marginal distribution of
     states observed at that interval, and the fallbacks are counted per
     row.
@@ -263,7 +268,7 @@ class TvmcModel:
         )
 
     def walk(
-        self, start_states: np.ndarray, t0: int, uniforms: np.ndarray
+        self, start_states: np.ndarray, t0, uniforms: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """States at ``t0 .. t0 + n_steps - 1`` and per-row fallback counts."""
         n_rows, n_steps = uniforms.shape
@@ -276,7 +281,7 @@ class TvmcModel:
             totals = rows[:, -1]
             missing = totals == 0
             if missing.any():
-                rows[missing] = self.marginal_cum[t]
+                rows[missing] = np.broadcast_to(self.marginal_cum[t], rows.shape)[missing]
                 totals = rows[:, -1]
                 fallbacks += missing
             # count of cumulative cells <= u*total == searchsorted(..., 'right')
@@ -286,25 +291,41 @@ class TvmcModel:
 
 
 class FirstEpisodeTable:
-    """Empirical (state, duration) distribution of sequence-opening episodes."""
+    """Empirical (state, duration) distribution of sequence-opening episodes.
+
+    The opening durations of state s are ``durations[bounds[s]:bounds[s + 1]]``,
+    in row order.
+    """
 
     def __init__(self, corpus: Corpus):
         _, starts, states, durations = episode_table(corpus.states_matrix)
-        states, durations = states[starts == 0], durations[starts == 0]
-        counts = np.bincount(states, minlength=corpus.alphabet.size)
-        self.state_cum = counts.cumsum()
-        order = np.argsort(states, kind="stable")
-        bounds = np.concatenate(([0], self.state_cum))
-        self.durations_by_state = [
-            durations[order[bounds[s] : bounds[s + 1]]]
-            for s in range(corpus.alphabet.size)
-        ]
+        first = starts == 0
+        self.durations, self.bounds = _group_by_state(
+            states[first], durations[first], corpus.alphabet.size
+        )
 
-    def draw(self, rng: np.random.Generator) -> tuple[int, int]:
-        row = self.state_cum
-        state = int(np.searchsorted(row, rng.random() * row[-1], side="right"))
-        pool = self.durations_by_state[state]
-        return state, int(pool[rng.integers(pool.size)])
+    def draw(self, u_state: np.ndarray, u_pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Opening states drawn by frequency, then a duration of each state.
+
+        Row i reads ``u_state[i]`` for its state and ``u_pos[i]`` for a
+        position among that state's opening durations.
+        """
+        bounds = self.bounds
+        state = np.searchsorted(bounds[1:], u_state * bounds[-1], side="right")
+        start = bounds[state]
+        return state, self.durations[start + _pick(u_pos, bounds[state + 1] - start)]
+
+
+def _group_by_state(states, durations, n_states) -> tuple[np.ndarray, np.ndarray]:
+    """``durations`` grouped by state, keeping their order, and each group's bounds."""
+    counts = np.bincount(states, minlength=n_states)
+    bounds = np.concatenate(([0], counts.cumsum()))
+    return durations[np.argsort(states, kind="stable")], bounds
+
+
+def _pick(u: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Position ``min(floor(u * n), n - 1)`` of each uniform in a pool of ``n``."""
+    return np.minimum((u * n).astype(np.int64), n - 1)
 
 
 class Candidates(NamedTuple):
@@ -501,6 +522,45 @@ class GenerationResult:
         return sum(self.fallbacks.values())
 
 
+# doubles read ahead per row of a paired-mc block; any width gives the same output
+_WIDTH = 64
+
+
+class _Uniforms:
+    """One row per stream: row r's k-th ``take`` is the k-th double of ``rngs[r]``.
+
+    A row reads its stream ``_WIDTH`` doubles at a time into one block
+    buffer, and refills alone when its cursor reaches the end.
+    """
+
+    def __init__(self, rngs: Sequence[np.random.Generator]):
+        self.rngs = rngs
+        self.n_rows = len(rngs)
+        self.buffer = np.empty((self.n_rows, _WIDTH))
+        self.cursor = np.full(self.n_rows, _WIDTH, dtype=np.int64)
+        # each stream's state before its latest refill, for release
+        self.saved: list = [None] * self.n_rows
+
+    def take(self, rows: np.ndarray) -> np.ndarray:
+        """The next double of each of the distinct ``rows``."""
+        cursor = self.cursor[rows]
+        spent = cursor == self.buffer.shape[1]
+        for r in rows[spent].tolist():
+            rng = self.rngs[r]
+            self.saved[r] = rng.bit_generator.state
+            rng.random(out=self.buffer[r])
+        cursor[spent] = 0
+        self.cursor[rows] = cursor + 1
+        return self.buffer[rows, cursor]
+
+    def release(self) -> None:
+        """Rewind each stream to just past the doubles its row took."""
+        for rng, state, used in zip(self.rngs, self.saved, self.cursor.tolist()):
+            if state is not None:
+                rng.bit_generator.state = state
+                rng.random(used)
+
+
 def _check_engine_inputs(corpus: Corpus, config: SynthesisConfig) -> None:
     if len(corpus) == 0:
         raise DataFormatError("cannot synthesize from an empty corpus")
@@ -521,12 +581,13 @@ class PairedMcEngine:
     ``generate_many`` advances the sequences of a batch of independent
     random streams in lockstep.  Each step runs one pass of the fallback
     ladder (order k down to 1, each order through the widened windows)
-    over the unfinished sequences; each sequence then draws from its own
-    stream exactly as a one-sequence loop would: a uniform record of its
-    candidate range (direct sampler, windowed durations), a state by its
-    multiplicity and then a duration for it otherwise, or one baseline
-    interval when no rung has a candidate.  A sequence's output depends
-    only on its stream, never on the rest of the batch.
+    over the unfinished sequences, then draws for all of them in one
+    array step: a uniform record of its candidate range (direct sampler,
+    windowed durations), a state by its multiplicity and then a duration
+    for it otherwise, or one baseline interval when no rung has a
+    candidate.  A sequence's k-th draw reads the k-th double of its own
+    stream, so its output depends only on that stream, never on the rest
+    of the batch, the block size or the buffer width.
     """
 
     name = "paired-mc"
@@ -562,13 +623,20 @@ class PairedMcEngine:
             # durations[bounds[s]:bounds[s + 1]]; without bounds, a state's
             # window pool is its slice of the durations in by_state order
             if config.duration_pool == "all_day":
-                self._pool = _all_day_durations(corpus)
+                self._pool = _group_by_state(
+                    *episode_table(corpus.states_matrix)[2:], corpus.alphabet.size
+                )
             else:
                 self._pool = (index.durations[index.records[self._by_state % span]], None)
 
     def generate_many(self, rngs: Sequence[np.random.Generator]) -> list[GenerationResult]:
-        """One sequence per stream, in order."""
-        chains, fallbacks = self._run(rngs)
+        """One sequence per stream, in order.
+
+        Each stream is left just past the doubles its sequence used.
+        """
+        uniforms = _Uniforms(rngs)
+        chains, fallbacks = self._run(uniforms)
+        uniforms.release()
         return [
             GenerationResult(self._expand(*chain), fb)
             for chain, fb in zip(chains, fallbacks)
@@ -578,18 +646,18 @@ class PairedMcEngine:
         durations = np.diff(starts + [end])
         return np.repeat(np.asarray(states, dtype=np.int64), durations)[: self.n]
 
-    def _run(self, rngs: Sequence[np.random.Generator]) -> tuple[list, list]:
-        """(states, starts, end) of each stream's episode chain, and its fallbacks."""
+    def _run(self, uniforms: _Uniforms) -> tuple[list, list]:
+        """(states, starts, end) of each row's episode chain, and its fallbacks."""
         index = self.index
-        opening = [self.first.draw(rng) for rng in rngs]
-        chain_states = [[state] for state, _ in opening]
-        chain_starts = [[0] for _ in opening]
-        cur = np.array([state for state, _ in opening], dtype=np.int64)
-        end = np.array([duration for _, duration in opening], dtype=np.int64)
+        n_rows = uniforms.n_rows
+        every = np.arange(n_rows)
+        cur, end = self.first.draw(uniforms.take(every), uniforms.take(every))
+        chain_states = [[state] for state in cur.tolist()]
+        chain_starts = [[0] for _ in range(n_rows)]
         # preceding states, most recent first; depth counts the episodes before
-        context = np.zeros((len(rngs), MAX_ORDER - 1), dtype=np.int64)
-        depth = np.zeros(len(rngs), dtype=np.int64)
-        fallbacks = np.zeros((len(rngs), len(_FALLBACKS)), dtype=np.int64)
+        context = np.zeros((n_rows, MAX_ORDER - 1), dtype=np.int64)
+        depth = np.zeros(n_rows, dtype=np.int64)
+        fallbacks = np.zeros((n_rows, len(_FALLBACKS)), dtype=np.int64)
 
         live = np.flatnonzero(end < self.stop)
         while live.size:
@@ -603,22 +671,19 @@ class PairedMcEngine:
             if self._by_state is None:
                 # uniform record draw == state-by-multiplicity then
                 # duration-within-state when both use the windowed set
-                offsets = [
-                    rngs[r].integers(size)
-                    for r, size in zip(live[hits].tolist(), (hi - lo)[hits].tolist())
-                ]
-                recs = index.records[lo[hits] + np.asarray(offsets, dtype=np.int64)]
+                pos = _pick(uniforms.take(live[hits]), (hi - lo)[hits])
+                recs = index.records[lo[hits] + pos]
                 nxt[hits], dur[hits] = index.states[recs], index.durations[recs]
             else:
                 nxt[hits], dur[hits] = self._two_stage(
-                    [rngs[r] for r in live[hits].tolist()], lo[hits], hi[hits]
+                    uniforms, live[hits], lo[hits], hi[hits]
                 )
-            for j in np.flatnonzero(~found).tolist():
+            miss = np.flatnonzero(~found)
+            if miss.size:
                 # final resort: a single baseline interval, then resume
-                r = live[j]
-                u = np.array([[rngs[r].random()]])
-                step, _ = self.tvmc.walk(cur[r : r + 1], end[r], u)
-                nxt[j] = step[0, 0]
+                rows = live[miss]
+                u = uniforms.take(rows)[:, None]
+                nxt[miss] = self.tvmc.walk(cur[rows], end[rows], u)[0][:, 0]
 
             # a baseline step that keeps the state lengthens the episode
             grow = live[~found & (nxt == cur[live])]
@@ -639,32 +704,30 @@ class PairedMcEngine:
         chains = list(zip(chain_states, chain_starts, end.tolist()))
         return chains, [dict(zip(_FALLBACKS, row)) for row in fallbacks.tolist()]
 
-    def _two_stage(self, rngs, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    def _two_stage(self, uniforms, rows, lo, hi) -> tuple[np.ndarray, np.ndarray]:
         """A state by its multiplicity in each ``[lo, hi)``, then its duration.
 
-        Row i reads ``rngs[i]`` as a one-sequence draw does: ``random`` for
-        the state, ``integers`` for a position in that state's duration
-        pool, then ``standard_normal`` for the kde noise when the bandwidth
-        is positive.  A window pool is the state's records in ``[lo, hi)``
-        in index order; the all_day pool is every episode of the state.
+        Row i draws from the next doubles of ``rows[i]``: one for the state,
+        one for a position in that state's duration pool, then two for the
+        kde noise when the bandwidth is positive.  A window pool is the
+        state's records in ``[lo, hi)`` in index order; the all_day pool is
+        every episode of the state.
         """
         span = self.index.records.size
         base = np.arange(self.index.n_states) * span
         first = np.searchsorted(self._by_state, base + lo[:, None])
         counts = np.searchsorted(self._by_state, base + hi[:, None]) - first
         cum = counts.cumsum(axis=1)
-        u = np.array([rng.random() for rng in rngs])
         # a state with zero count never wins, so counting the cumulative
         # counts <= u * total is the right-side search over present states
-        state = (cum <= (u * cum[:, -1])[:, None]).sum(axis=1)
+        state = (cum <= (uniforms.take(rows) * cum[:, -1])[:, None]).sum(axis=1)
         values, bounds = self._pool
         if bounds is None:
             row = np.arange(state.size)
             start, size = first[row, state], counts[row, state]
         else:
             start, size = bounds[state], bounds[state + 1] - bounds[state]
-        picks = [rng.integers(n) for rng, n in zip(rngs, size.tolist())]
-        dur = values[start + np.asarray(picks, dtype=np.int64)]
+        dur = values[start + _pick(uniforms.take(rows), size)]
         if self.config.sampler == "kde":
             if self.config.kde_bandwidth is None:
                 # rows drawing from the same pool share its bandwidth
@@ -674,7 +737,9 @@ class PairedMcEngine:
             else:
                 h = np.full(dur.size, float(self.config.kde_bandwidth))
             noisy = np.flatnonzero(h > 0.0)
-            z = np.array([rngs[j].standard_normal() for j in noisy.tolist()], dtype=np.float64)
+            u1 = uniforms.take(rows[noisy])
+            u2 = uniforms.take(rows[noisy])
+            z = np.sqrt(-2.0 * np.log(1.0 - u1)) * np.cos(2.0 * np.pi * u2)
             dur[noisy] = np.rint(dur[noisy] + h[noisy] * z)
             dur = np.maximum(dur, 1)
         return state, dur
@@ -708,17 +773,6 @@ class PairedMcEngine:
                 if not todo.size:
                     break
         return lo, hi, rung
-
-
-def _all_day_durations(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
-    """Every episode's duration grouped by state, and each group's bounds.
-
-    Within a state the durations keep episode order.
-    """
-    _, _, states, durs = episode_table(corpus.states_matrix)
-    counts = np.bincount(states, minlength=corpus.alphabet.size)
-    bounds = np.concatenate(([0], counts.cumsum()))
-    return durs[np.argsort(states, kind="stable")], bounds
 
 
 class TvmcEngine:
@@ -857,7 +911,8 @@ def _worker_chunk(ordinals: Sequence[int]) -> _ChunkResult:
             for o in ords[start : start + _WINDOW_ROWS]
         ]
         if _WORKER["draw_cluster"]:
-            drawn = [sample_cluster(_WORKER["weights"], rng) for rng in rngs]
+            u = np.array([rng.random() for rng in rngs])
+            drawn = _WORKER["weights"].choose(u).tolist()
         else:
             drawn = [0] * len(rngs)
         clusters.extend(drawn)

@@ -674,6 +674,7 @@ class TestPipeline:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
         assert err["message"] == message
+        assert not (out / "ingest").exists()
         assert not (out / "synth").exists()
         # the same key in a synthesis config file fails before any output
         path.write_text(json.dumps(cfg["synth"]))
@@ -681,6 +682,23 @@ class TestPipeline:
         assert code == cli.EXIT_CONFIG
         assert json.loads(capsys.readouterr().err)["message"] == message
         assert not (out / "synth.csv").exists()
+
+    def test_delta_longer_than_the_day_fails_before_any_write(
+        self, tmp_path, corpus_csv, capsys
+    ):
+        cfg = {
+            "input": {"path": str(corpus_csv)},
+            "synth": {"delta": 241, "seed": 18, "count": 2},
+        }
+        path = tmp_path / "pipeline.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        code = run_cli("pipeline", "--config", path, "--output", out)
+        assert code == cli.EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"] == "delta must be in [0, target_length=240], got 241"
+        assert not (out / "ingest").exists()
 
     def test_provenance_config_round_trips(self, tmp_path, corpus_csv):
         # the provenance names the day length, which a rerun accepts

@@ -5,10 +5,14 @@
 and 3 as masks over the window), and ``SynthesisState`` with
 ``OracleEngine.generate`` keep the former one-sequence generation loop.
 ``DurationSampler`` and ``sample_transition`` keep the former per-draw
-two-stage sampler, and ``verify_realizable`` replays an oracle episode
-chain against the index.  ``PairedMcEngine.generate_many`` and
-``synthesize_batch`` must reproduce them exactly: the same states and
-the same per-sequence fallback counts from the same streams.
+two-stage sampler, ``OracleFirstEpisodes`` the former scalar opening
+draw, and ``verify_realizable`` replays an oracle episode chain against
+the index.  Every draw reads one ``rng.random()``: a position in a pool
+of n is ``min(floor(u * n), n - 1)``, a categorical draw a right-side
+search of ``u * total``, and kde noise Box-Muller from two doubles.
+``PairedMcEngine.generate_many`` and ``synthesize_batch`` must reproduce
+them exactly: the same states and the same per-sequence fallback counts
+from the same streams.
 """
 
 from dataclasses import dataclass
@@ -42,7 +46,6 @@ from seqsynth.synth import (
     SAMPLERS as SAMPLER_KINDS,
     CandidateIndex,
     Candidates,
-    FirstEpisodeTable,
     _check_bandwidth,
     silverman_bandwidth,
 )
@@ -74,13 +77,43 @@ class DurationSampler:
         _check_bandwidth(self.bandwidth)
 
     def draw(self, durations: np.ndarray, rng: np.random.Generator) -> int:
-        value = int(durations[rng.integers(durations.size)])
+        value = int(durations[position(rng, durations.size)])
         if self.kind == "direct":
             return value
         h = self.bandwidth if self.bandwidth is not None else silverman_bandwidth(durations)
         if h > 0.0:
-            value = int(np.rint(value + h * rng.standard_normal()))
+            u1 = rng.random()
+            u2 = rng.random()
+            z = np.sqrt(-2.0 * np.log(1.0 - u1)) * np.cos(2.0 * np.pi * u2)
+            value = int(np.rint(value + h * z))
         return max(value, 1)
+
+
+def position(rng: np.random.Generator, n: int) -> int:
+    """A uniform position in a pool of ``n`` from one double."""
+    return min(int(rng.random() * n), n - 1)
+
+
+class OracleFirstEpisodes:
+    """The former ``FirstEpisodeTable``: per-state opening durations."""
+
+    def __init__(self, corpus: Corpus):
+        _, starts, states, durations = episode_table(corpus.states_matrix)
+        states, durations = states[starts == 0], durations[starts == 0]
+        counts = np.bincount(states, minlength=corpus.alphabet.size)
+        self.state_cum = counts.cumsum()
+        order = np.argsort(states, kind="stable")
+        bounds = np.concatenate(([0], self.state_cum))
+        self.durations_by_state = [
+            durations[order[bounds[s] : bounds[s + 1]]]
+            for s in range(corpus.alphabet.size)
+        ]
+
+    def draw(self, rng: np.random.Generator) -> tuple[int, int]:
+        row = self.state_cum
+        state = int(np.searchsorted(row, rng.random() * row[-1], side="right"))
+        pool = self.durations_by_state[state]
+        return state, int(pool[position(rng, pool.size)])
 
 
 def sample_transition(
@@ -264,7 +297,7 @@ class OracleEngine:
         self.config = config
         self.n = corpus.length
         self.tvmc = TvmcModel.fit(corpus)
-        self.first = FirstEpisodeTable(corpus)
+        self.first = OracleFirstEpisodes(corpus)
         if config.buffer == "tvmc" and config.delta > 0:
             rng = np.random.default_rng(
                 np.random.SeedSequence((config.seed, _BUFFER_STREAM, stream_key))
@@ -328,7 +361,7 @@ class OracleEngine:
                 fallbacks["window_widened"] += 1
 
             if fast:
-                i = int(rng.integers(cands.states.size))
+                i = position(rng, cands.states.size)
                 state, dur = int(cands.states[i]), int(cands.durations[i])
             else:
                 state, dur = sample_transition(
@@ -443,7 +476,7 @@ class TestEngineOracle:
                 seed=case,
                 **SAMPLERS[sampler],
             )
-            for key, value in _compare(corpus, config).items():
+            for key, value in _compare(corpus, config, n_rows=16).items():
                 totals[key] += value
         assert totals["window_widened"] > 0
         assert totals["tvmc_steps"] > 0
@@ -513,3 +546,28 @@ class TestBatchOracle:
             assert list(sp.fallbacks.items()) == list(fallbacks.items())
         if clustered:
             assert np.bincount([c for c, _ in drawn], minlength=3)[2] > 2 * 8
+
+    @pytest.mark.parametrize("clustered", [False, True])
+    @pytest.mark.parametrize("sampler", ["direct", "kde-silverman", "all-day"])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_output_is_independent_of_width_and_blocks(
+        self, width, sampler, clustered, monkeypatch
+    ):
+        # row r's k-th draw is the k-th double of its stream, however the
+        # doubles are read ahead and however the rows are grouped
+        corpus = activity_ground_truth(30, 120, seed=87)
+        config = SynthesisConfig(delta=15, target_length=120, seed=88, **SAMPLERS[sampler])
+        if clustered:
+            labels = {sid: i % 3 for i, sid in enumerate(corpus.ids)}
+            weights = [0.5, 0.2, 0.3]
+        else:
+            labels = weights = None
+        want, want_prov = synthesize_batch(
+            corpus, config, 60, assignment=labels, weights=weights
+        )
+        monkeypatch.setattr(synth, "_WIDTH", width)
+        monkeypatch.setattr(synth, "_BLOCK_ROWS", 8)
+        monkeypatch.setattr(synth, "_WINDOW_ROWS", 20)
+        got, prov = synthesize_batch(corpus, config, 60, assignment=labels, weights=weights)
+        assert got.states_matrix.tobytes() == want.states_matrix.tobytes()
+        assert prov.to_dict() == want_prov.to_dict()

@@ -21,6 +21,7 @@ from seqsynth import (
 from seqsynth.synth import (
     Candidates,
     FirstEpisodeTable,
+    _pick,
     config_from_dict,
     config_to_dict,
     silverman_bandwidth,
@@ -210,10 +211,9 @@ class TestInitialize:
         corpus = Corpus.from_arrays(alphabet, [[0, 0, 1], [0, 1, 1]])
         table = FirstEpisodeTable(corpus)
         rng = np.random.default_rng(13)
-        for _ in range(20):
-            state, duration = table.draw(rng)
-            assert state == 0
-            assert duration in (1, 2)
+        states, durations = table.draw(rng.random(20), rng.random(20))
+        assert np.all(states == 0)
+        assert set(durations.tolist()) <= {1, 2}
 
     def test_duration_comes_from_matching_state(self):
         alphabet = StateAlphabet(("home", "work"))
@@ -223,13 +223,9 @@ class TestInitialize:
         )
         table = FirstEpisodeTable(corpus)
         rng = np.random.default_rng(14)
-        seen_home, seen_work = set(), set()
-        for _ in range(300):
-            state, duration = table.draw(rng)
-            if state == 0:
-                seen_home.add(duration)
-            else:
-                seen_work.add(duration)
+        states, durations = table.draw(rng.random(300), rng.random(300))
+        seen_home = set(durations[states == 0].tolist())
+        seen_work = set(durations[states != 0].tolist())
         assert seen_home <= {420, 480}
         assert seen_work <= {510}
 
@@ -245,11 +241,21 @@ class TestInitialize:
         corpus = Corpus.from_arrays(alphabet, arrays)
         table = FirstEpisodeTable(corpus)
         rng = np.random.default_rng(16)
-        draws = np.array([table.draw(rng)[0] for _ in range(10000)])
+        draws, _ = table.draw(rng.random(10000), rng.random(10000))
         observed = np.bincount(draws, minlength=3)
         expected = np.bincount(starts, minlength=3) / 400 * 10000
         result = stats.chisquare(observed, f_exp=expected)
         assert result.pvalue > 0.01
+
+
+class TestDrawRule:
+    def test_position_covers_the_pool(self):
+        sizes = np.array([1, 2, 3, 5, 7, 1000, 2**31 - 1, 2**52 + 1])
+        # the largest double Generator.random returns is 1 - 2**-53
+        top = np.full(sizes.size, 1 - 2**-53)
+        assert np.array_equal(_pick(top, sizes), sizes - 1)
+        assert np.array_equal(_pick(np.zeros(sizes.size), sizes), np.zeros(sizes.size))
+        assert np.array_equal(_pick(np.full(3, 0.5), np.array([2, 3, 4])), [1, 1, 2])
 
 
 class TestSampleTransition:
