@@ -31,6 +31,7 @@ Box-Muller from two doubles, ``sqrt(-2 ln(1 - u1)) cos(2 pi u2)``.
 
 from __future__ import annotations
 
+import gc
 import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
@@ -1009,10 +1010,19 @@ def synthesize_batch(
             ctx = multiprocessing.get_context("spawn")
             init = _worker_init
             initargs = (clusters, config, engine, cluster_weights, draw_cluster)
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=ctx, initializer=init, initargs=initargs
-        ) as pool:
-            chunk_results = list(pool.map(_worker_chunk, chunks))
+        # a worker's full collection would otherwise visit, and so copy,
+        # every object it inherits; a caller's own freeze is left alone
+        thaw = gc.get_freeze_count() == 0
+        if thaw:
+            gc.freeze()
+        try:
+            with ProcessPoolExecutor(
+                max_workers=workers, mp_context=ctx, initializer=init, initargs=initargs
+            ) as pool:
+                chunk_results = list(pool.map(_worker_chunk, chunks))
+        finally:
+            if thaw:
+                gc.unfreeze()
     _WORKER.clear()
 
     # pool.map keeps chunk order, so the rows arrive in ordinal order

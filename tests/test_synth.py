@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -554,6 +555,19 @@ class TestBatch:
         serial, _ = synthesize_batch(corpus, config, 16, workers=1)
         parallel, _ = synthesize_batch(corpus, config, 16, workers=3)
         assert serial == parallel
+
+    def test_parallel_batch_leaves_the_gc_freeze_as_it_was(self):
+        corpus = activity_ground_truth(20, 120, seed=45)
+        config = SynthesisConfig(delta=10, target_length=120, seed=15)
+        synthesize_batch(corpus, config, 8, workers=2)
+        assert gc.get_freeze_count() == 0
+        # a caller's own freeze survives the batch
+        gc.freeze()
+        try:
+            synthesize_batch(corpus, config, 8, workers=2)
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
 
     def test_spawn_fallback_matches_serial(self, monkeypatch):
         # platforms without fork rebuild worker state via the initializer
