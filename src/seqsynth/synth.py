@@ -231,10 +231,10 @@ class TvmcModel:
     given the state before it; ``t0`` is one time or one per row.  Times
     at or past the sequence length reuse the statistics of ``t mod
     length``; the transition into interval 0 is estimated from the day
-    wrap (last interval -> first interval).  When no transition was ever observed from a state at
-    that time, the draw falls back to the marginal distribution of
-    states observed at that interval, and the fallbacks are counted per
-    row.
+    wrap (last interval -> first interval).  When no transition was ever
+    observed from a state at that time, the draw falls back to the
+    marginal distribution of states observed at that interval, and the
+    fallbacks are counted per row.
     """
 
     def __init__(self, trans_cum, first_cum, marginal_cum, length, n_states):
