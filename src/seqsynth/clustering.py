@@ -36,6 +36,10 @@ __all__ = [
 
 LINKAGES = ("complete", "average")
 
+# the most days clustered at once, checked before the n x n distance matrix
+# is allocated: each n x n float64 array of 10,000 days is 0.8 GB
+_MAX_DAYS = 10_000
+
 
 @dataclass(frozen=True, eq=False)
 class DistanceMatrix:
@@ -211,8 +215,14 @@ def pairwise_distance(corpus: Corpus, metric: str = "hamming") -> DistanceMatrix
         raise ConfigError(f"unsupported metric {metric!r}")
     if len(corpus) < 2:
         raise DataFormatError("need at least two sequences")
+    n = len(corpus)
+    if n > _MAX_DAYS:
+        raise DataFormatError(
+            f"cannot cluster {n} sequences: more than {_MAX_DAYS} "
+            f"(each n x n distance matrix would take {8 * n * n / 1e9:.1f} GB)"
+        )
     mat = corpus.states_matrix
-    n, length = mat.shape
+    length = mat.shape[1]
     # matches(i, j) = sum_s <row_i == s> . <row_j == s>; exact in float32
     # because counts never exceed the sequence length
     matches = np.zeros((n, n), dtype=np.float64)

@@ -24,7 +24,7 @@ batch is byte-identical for a given (corpus, config, count) regardless
 of how many workers run it or how its sequences are grouped into blocks.
 Every draw reads doubles of that stream in order (a clustered run spends
 the first on the cluster): a position in a pool of n is
-``min(floor(u * n), n - 1)``, a categorical draw is
+``floor(u * n)``, a categorical draw is
 ``searchsorted(cum, u * total, "right")``, and Gaussian kde noise is
 Box-Muller from two doubles, ``sqrt(-2 ln(1 - u1)) cos(2 pi u2)``.
 """
@@ -325,8 +325,12 @@ def _group_by_state(states, durations, n_states) -> tuple[np.ndarray, np.ndarray
 
 
 def _pick(u: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Position ``min(floor(u * n), n - 1)`` of each uniform in a pool of ``n``."""
-    return np.minimum((u * n).astype(np.int64), n - 1)
+    """Position ``floor(u * n)`` of each uniform in a pool of ``n >= 1``.
+
+    ``u < 1`` keeps the position below ``n``: ``u * n`` rounds below ``n``
+    for every pool of at most 2**53.
+    """
+    return (u * n).astype(np.int64)
 
 
 class Candidates(NamedTuple):

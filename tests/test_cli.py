@@ -133,6 +133,16 @@ class TestCluster:
         assert summary["sizes_desc"] == sorted(summary["sizes_desc"], reverse=True)
         assert set(summary["dunn_by_k"]) == {"2", "3", "4", "5"}
 
+    def test_too_many_days_exit_data_error(self, tmp_path, capsys):
+        path = tmp_path / "wide.csv"
+        path.write_text("id,s1\n" + "".join(f"d{i},a\n" for i in range(10_001)), encoding="utf-8")
+        code = run_cli("cluster", "--corpus", path, "--output", tmp_path / "out")
+        assert code == cli.EXIT_DATA
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DataFormatError"
+        assert err["message"].startswith("cannot cluster 10001 sequences: more than 10000")
+        assert err["exit_code"] == cli.EXIT_DATA
+
     def test_user_labels_bypass(self, tmp_path, corpus_csv):
         corpus = seqio.load_corpus(corpus_csv)
         labels = {sid: i % 2 for i, sid in enumerate(corpus.ids)}

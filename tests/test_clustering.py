@@ -68,6 +68,18 @@ class TestPairwiseDistance:
         with pytest.raises(DataFormatError):
             pairwise_distance(corpus)
 
+    def test_too_many_sequences_rejected_before_allocating(self, monkeypatch):
+        # a 10,001 x 1 corpus: the rejection comes before any n x n array
+        ids = tuple(map(str, range(10_001)))
+        corpus = Corpus(StateAlphabet(("a",)), np.zeros((10_001, 1)), ids)
+        monkeypatch.setattr(np, "zeros", _no_allocation)
+        with pytest.raises(DataFormatError, match="cannot cluster 10001 sequences: more than"):
+            pairwise_distance(corpus)
+
+
+def _no_allocation(*args, **kwargs):
+    raise AssertionError("pairwise_distance allocated before checking n")
+
 
 class TestDistanceMatrix:
     def test_infinite_distance_rejected(self):

@@ -215,7 +215,7 @@ def test_undecodable_byte_names_file(tmp_path):
 
 
 def test_interval_load_memory_is_bounded(tmp_path):
-    # streaming holds the int32 codes and one row of text, not the file
+    # streaming holds the codes and one block of text, not the file
     path = tmp_path / "gt.csv"
     seqio.save_corpus(activity_ground_truth(2000, 1440), path)
     tracemalloc.start()

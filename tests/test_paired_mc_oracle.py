@@ -8,7 +8,7 @@ and 3 as masks over the window), and ``SynthesisState`` with
 two-stage sampler, ``OracleFirstEpisodes`` the former scalar opening
 draw, and ``verify_realizable`` replays an oracle episode chain against
 the index.  Every draw reads one ``rng.random()``: a position in a pool
-of n is ``min(floor(u * n), n - 1)``, a categorical draw a right-side
+of n is ``floor(u * n)``, a categorical draw a right-side
 search of ``u * total``, and kde noise Box-Muller from two doubles.
 ``PairedMcEngine.generate_many`` and ``synthesize_batch`` must reproduce
 them exactly: the same states and the same per-sequence fallback counts
@@ -91,7 +91,7 @@ class DurationSampler:
 
 def position(rng: np.random.Generator, n: int) -> int:
     """A uniform position in a pool of ``n`` from one double."""
-    return min(int(rng.random() * n), n - 1)
+    return int(rng.random() * n)
 
 
 class OracleFirstEpisodes:
@@ -481,6 +481,22 @@ class TestEngineOracle:
         assert totals["window_widened"] > 0
         assert totals["tvmc_steps"] > 0
         assert (totals["order_reduced"] > 0) == (order > 1)
+
+    def test_widened_window_on_hand_built_days(self):
+        # day 1: a b c(3) d(3) c(4); day 2: a b c(4) d(6).  A chain that
+        # takes day 1's c(3) and then day 2's d(6) (about one in four) is
+        # at t = 11 under the order-3 context (b, c, d), whose one record
+        # starts at 8: outside the base window (delta 2), inside the first
+        # widened one.  Every other chain replays a day.
+        alphabet = StateAlphabet(("a", "b", "c", "d"))
+        days = [
+            np.repeat([0, 1, 2, 3, 2], [1, 1, 3, 3, 4]),
+            np.repeat([0, 1, 2, 3], [1, 1, 4, 6]),
+        ]
+        config = SynthesisConfig(delta=2, order=3, target_length=12, buffer="none", seed=9)
+        totals = _compare(Corpus.from_arrays(alphabet, days), config, n_rows=64)
+        assert totals["window_widened"] > 0
+        assert totals["order_reduced"] == totals["tvmc_steps"] == 0
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_full_days(self, order):

@@ -251,10 +251,18 @@ class TestInitialize:
 
 class TestDrawRule:
     def test_position_covers_the_pool(self):
+        # the largest double Generator.random returns is 1 - 2**-53, and
+        # n - n * 2**-53 rounds below n for every n <= 2**53, so the top
+        # double picks the last position with no clip: checked for every
+        # pool size up to 2**20, each power of two up to 2**31 with its
+        # neighbours, and a sample of sizes up to 2**31
+        powers = 2 ** np.arange(21, 32)
+        sample = np.random.default_rng(0).integers(1, 2**31, size=10**6, endpoint=True)
+        sizes = np.concatenate(
+            [np.arange(1, 2**20 + 1), powers - 1, powers, powers + 1, sample, [2**52 + 1]]
+        )
+        assert np.array_equal(_pick(np.nextafter(1.0, 0.0), sizes), sizes - 1)
         sizes = np.array([1, 2, 3, 5, 7, 1000, 2**31 - 1, 2**52 + 1])
-        # the largest double Generator.random returns is 1 - 2**-53
-        top = np.full(sizes.size, 1 - 2**-53)
-        assert np.array_equal(_pick(top, sizes), sizes - 1)
         assert np.array_equal(_pick(np.zeros(sizes.size), sizes), np.zeros(sizes.size))
         assert np.array_equal(_pick(np.full(3, 0.5), np.array([2, 3, 4])), [1, 1, 2])
 
