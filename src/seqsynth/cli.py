@@ -417,6 +417,8 @@ def _run(
     config = replace(syn["config"], **day) if "synth" in stages else None
     grid = _grid(syn["config"], sw, **day) if "sweep" in stages and "sweep" in cfg else None
     count = len(corpus) if syn["count"] is None else syn["count"]
+    if config is not None or grid is not None:
+        synth._check_batch_size(count, corpus.length)
     states = ev["states"]
     if isinstance(states, str):
         states = None if states == "top5" else states.split(",")

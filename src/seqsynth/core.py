@@ -219,6 +219,11 @@ class Corpus:
     row i is the sequence whose id is ``ids[i]``.  Ids are unique
     strings, one per row, and all sequences share ``interval_minutes``.
     An empty corpus has shape (0, 0), so its ``length`` is 0.
+
+    Synthesis keeps the models it fits to a corpus in the private
+    attribute ``_synth_source`` (see ``synth._Source``).  It is not a
+    field: equality ignores it, ``replace`` and ``subset`` do not copy
+    it, and pickling drops it.
     """
 
     alphabet: StateAlphabet
@@ -263,6 +268,9 @@ class Corpus:
         return same and np.array_equal(self.states_matrix, other.states_matrix)
 
     __hash__ = None  # type: ignore[assignment]
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_synth_source"}
 
     @property
     def length(self) -> int:

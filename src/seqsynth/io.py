@@ -154,9 +154,10 @@ def _read_interval(fh, path, codes: dict[str, int]):
     """Ids and a map from the code permutation to the matrix.
 
     Each line is checked as it is read (width, id), and plain lines are
-    decoded to codes a block at a time (:class:`_BlockDecoder`).  From the
-    first line holding a quote, CR or NUL, the rest of the file streams
-    through ``csv.reader`` instead, a row at a time.
+    decoded to codes a block at a time (:class:`_BlockDecoder`); a CRLF line
+    end counts as plain.  From the first line holding a quote, NUL or any
+    other CR, the rest of the file streams through ``csv.reader`` instead,
+    a row at a time.
     """
     lines = iter(fh)
     _, header = next(_rows(lines, fh.name), (1, []))
@@ -185,9 +186,12 @@ def _read_interval(fh, path, codes: dict[str, int]):
     limit = csv.field_size_limit()
     try:
         for row_no, line in enumerate(lines, start=2):
-            if '"' in line or "\r" in line or "\0" in line:
+            # a CRLF line end reads as LF; any other CR is for csv.reader
+            plain = line[:-2] + "\n" if line.endswith("\r\n") else line
+            if '"' in plain or "\r" in plain or "\0" in plain:
                 rest = _rows(chain([line], lines), fh.name, row_no - 1)
                 break
+            line = plain
             if line == "\n":
                 continue
             if len(line) > limit:

@@ -34,8 +34,10 @@ from __future__ import annotations
 import gc
 import math
 import multiprocessing
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -512,6 +514,144 @@ def extend_with_buffer(
     return replace(corpus, states_matrix=np.hstack((mat, ext.astype(mat.dtype))))
 
 
+class _Pool:
+    """Durations laid out so that every duration pool is one slice of ``values``.
+
+    With ``bounds``, the all_day pool of state s is
+    ``values[bounds[s]:bounds[s + 1]]``; without, a state's window pool is
+    its slice of the index durations in by-state order.  Silverman's
+    bandwidth of a slice is a function of the slice alone, so it is
+    computed once per ``(start, size)``; the memo gains at most one entry
+    per kde draw.
+    """
+
+    def __init__(self, values: np.ndarray, bounds: np.ndarray | None = None):
+        self.values = values
+        self.bounds = bounds
+        self._silverman: dict[tuple[int, int], float] = {}
+
+    def silverman(self, start: np.ndarray, size: np.ndarray) -> np.ndarray:
+        """Silverman's bandwidth of each slice ``values[start:start + size]``."""
+        memo = self._silverman
+        pools = list(zip(start.tolist(), size.tolist()))
+        for lo, n in set(pools).difference(memo):
+            memo[lo, n] = silverman_bandwidth(self.values[lo : lo + n])
+        return np.array([memo[p] for p in pools], dtype=np.float64)
+
+
+class _Slot:
+    """The index of one buffered corpus, and the by-state pools read from it.
+
+    ``buffered`` is None when the index is of the source corpus itself.
+    """
+
+    def __init__(self, key: tuple, buffered: Corpus | None, index: CandidateIndex):
+        self.key = key
+        self.buffered = buffered
+        self.index = index
+
+    @cached_property
+    def by_state(self) -> np.ndarray:
+        """Index positions grouped by record state, ``state * span + position``.
+
+        A state's records in a window ``[lo, hi)`` are one contiguous run of it.
+        """
+        index = self.index
+        span = index.records.size
+        return np.sort(index.states[index.records] * span + np.arange(span))
+
+    @cached_property
+    def window(self) -> _Pool:
+        index = self.index
+        return _Pool(index.durations[index.records[self.by_state % index.records.size]])
+
+
+class _Source:
+    """The source-side model of one corpus, shared by every engine over it.
+
+    :func:`_source` keeps one per corpus object, and each part is built
+    the first time an engine asks for it:
+
+    * the fitted :class:`TvmcModel`, the :class:`FirstEpisodeTable` and
+      the all_day duration pool;
+    * the cluster split: the sub-corpora of the latest assignment vector,
+      each with a source of its own;
+    * one slot: the buffered corpus of one ``(delta, seed, stream_key)``
+      (``delta`` alone without a buffer) and its :class:`CandidateIndex`,
+      built at the highest order asked for so far.  Each order's keys are
+      their own sorted run, so a lower order finds the same ``[lo, hi)``
+      and records in a higher-order index.  A higher order rebuilds the
+      index over the same buffered corpus; another key replaces the slot.
+
+    This is sound because a ``Corpus`` is frozen and owns a read-only
+    matrix.  The source holds only a weak reference to its corpus, which
+    holds the source, so the two are freed together.  Memory: the model,
+    table, pool and split live as long as the corpus.  The slot outlives
+    the batch that built it, so between batches memory holds at most one
+    buffered corpus and index per source beyond what a fresh build
+    holds; the old slot is released before its successor is built, so
+    a build's peak does not grow.
+    """
+
+    def __init__(self, corpus: Corpus):
+        self._corpus = weakref.ref(corpus)
+        self._split: tuple[np.ndarray, list[Corpus]] | None = None
+        self._slot: _Slot | None = None
+
+    @cached_property
+    def tvmc(self) -> TvmcModel:
+        return TvmcModel.fit(self._corpus())
+
+    @cached_property
+    def first(self) -> FirstEpisodeTable:
+        return FirstEpisodeTable(self._corpus())
+
+    @cached_property
+    def all_day(self) -> _Pool:
+        corpus = self._corpus()
+        _, _, states, durations = episode_table(corpus.states_matrix)
+        return _Pool(*_group_by_state(states, durations, corpus.alphabet.size))
+
+    def split(self, labels: np.ndarray) -> list[Corpus]:
+        """The sub-corpus of each cluster ``0 .. labels.max()``, in order."""
+        if self._split is None or not np.array_equal(self._split[0], labels):
+            corpus = self._corpus()
+            k = int(labels.max()) + 1
+            subsets = [corpus.subset(np.flatnonzero(labels == c)) for c in range(k)]
+            self._split = (labels.copy(), subsets)
+        return self._split[1]
+
+    def slot(self, config: SynthesisConfig, stream_key: int) -> _Slot:
+        """The slot for ``config``'s buffer, indexed up to at least its order."""
+        buffered = config.buffer == "tvmc" and config.delta > 0
+        key = (config.delta, config.seed, stream_key) if buffered else (config.delta,)
+        slot, self._slot = self._slot, None
+        if slot is not None and slot.key == key and slot.index.order >= config.order:
+            self._slot = slot
+            return slot
+        ext = slot.buffered if slot is not None and slot.key == key else None
+        del slot  # the old index goes before the new one is built
+        if buffered and ext is None:
+            ext = extend_with_buffer(
+                self._corpus(),
+                self.tvmc,
+                config.delta,
+                _stream(config.seed, _BUFFER_STREAM, stream_key),
+            )
+        index = build_index(self._corpus() if ext is None else ext, config.delta, config.order)
+        self._slot = _Slot(key, ext, index)
+        return self._slot
+
+
+def _source(corpus: Corpus) -> _Source:
+    """The shared source model of ``corpus``, created on first use."""
+    source = corpus.__dict__.get("_synth_source")
+    if source is None:
+        source = _Source(corpus)
+        object.__setattr__(corpus, "_synth_source", source)
+    return source
+
+
 @dataclass(frozen=True)
 class GenerationResult:
     """One generated sequence of exactly the target length.
@@ -579,9 +719,11 @@ def _check_engine_inputs(corpus: Corpus, config: SynthesisConfig) -> None:
 class PairedMcEngine:
     """Windowed episode-resampling generator built from one corpus.
 
-    Building the engine performs the buffer imputation (when enabled),
-    fits the per-interval baseline used by the fallback ladder, and
-    indexes every observed transition up to the configured order.
+    The engine is a view of the corpus's shared source model
+    (:class:`_Source`): the per-interval baseline used by the buffer and
+    the fallback ladder, the opening-episode table, and the index of
+    every observed transition of the buffered corpus up to (at least)
+    the configured order.
 
     ``generate_many`` advances the sequences of a batch of independent
     random streams in lockstep.  Each step runs one pass of the fallback
@@ -601,38 +743,18 @@ class PairedMcEngine:
         _check_engine_inputs(corpus, config)
         self.config = config
         self.n = corpus.length
-        self.tvmc = TvmcModel.fit(corpus)
-        self.first = FirstEpisodeTable(corpus)
-        if config.buffer == "tvmc" and config.delta > 0:
-            buffered = extend_with_buffer(
-                corpus,
-                self.tvmc,
-                config.delta,
-                _stream(config.seed, _BUFFER_STREAM, stream_key),
-            )
-            self.stop = self.n + config.delta
-        else:
-            buffered = corpus
-            self.stop = self.n
-        self.index = build_index(buffered, config.delta, config.order)
+        source = _source(corpus)
+        self.tvmc = source.tvmc
+        self.first = source.first
+        slot = source.slot(config, stream_key)
+        self.index = slot.index
+        self.stop = self.index.horizon  # the day length, plus delta when buffered
         # every widened window is tried before dropping an order
         self._widen = (1,) if config.delta == 0 else _WIDEN_FACTORS
         self._by_state = None
         if config.sampler != "direct" or config.duration_pool == "all_day":
-            # index positions grouped by record state, state * span + position:
-            # a state's records in a window are one contiguous run of it
-            index = self.index
-            span = index.records.size
-            self._by_state = np.sort(index.states[index.records] * span + np.arange(span))
-            # (durations, bounds): the all_day pool of state s is
-            # durations[bounds[s]:bounds[s + 1]]; without bounds, a state's
-            # window pool is its slice of the durations in by_state order
-            if config.duration_pool == "all_day":
-                self._pool = _group_by_state(
-                    *episode_table(corpus.states_matrix)[2:], corpus.alphabet.size
-                )
-            else:
-                self._pool = (index.durations[index.records[self._by_state % span]], None)
+            self._by_state = slot.by_state
+            self._pool = source.all_day if config.duration_pool == "all_day" else slot.window
 
     def generate_many(self, rngs: Sequence[np.random.Generator]) -> list[GenerationResult]:
         """One sequence per stream, in order.
@@ -726,19 +848,16 @@ class PairedMcEngine:
         # a state with zero count never wins, so counting the cumulative
         # counts <= u * total is the right-side search over present states
         state = (cum <= (uniforms.take(rows) * cum[:, -1])[:, None]).sum(axis=1)
-        values, bounds = self._pool
-        if bounds is None:
+        pool = self._pool
+        if pool.bounds is None:
             row = np.arange(state.size)
             start, size = first[row, state], counts[row, state]
         else:
-            start, size = bounds[state], bounds[state + 1] - bounds[state]
-        dur = values[start + _pick(uniforms.take(rows), size)]
+            start, size = pool.bounds[state], pool.bounds[state + 1] - pool.bounds[state]
+        dur = pool.values[start + _pick(uniforms.take(rows), size)]
         if self.config.sampler == "kde":
             if self.config.kde_bandwidth is None:
-                # rows drawing from the same pool share its bandwidth
-                pools = list(zip(start.tolist(), size.tolist()))
-                rule = {p: silverman_bandwidth(values[p[0] : p[0] + p[1]]) for p in set(pools)}
-                h = np.array([rule[p] for p in pools], dtype=np.float64)
+                h = pool.silverman(start, size)
             else:
                 h = np.full(dur.size, float(self.config.kde_bandwidth))
             noisy = np.flatnonzero(h > 0.0)
@@ -794,7 +913,7 @@ class TvmcEngine:
         _check_engine_inputs(corpus, config)
         self.config = config
         self.n = corpus.length
-        self.model = TvmcModel.fit(corpus)
+        self.model = _source(corpus).tvmc
 
     def generate_many(self, rngs: Sequence[np.random.Generator]) -> list[GenerationResult]:
         """One sequence per stream, in order."""
@@ -898,8 +1017,24 @@ _BLOCK_ROWS = 256
 # the per-cluster blocks of a clustered run full
 _WINDOW_ROWS = 4 * _BLOCK_ROWS
 
+# the most cells (count x target_length) one batch may hold; its matrix
+# takes one byte a cell for up to 128 states, so about 1 GiB, and each
+# sequence adds under 1 KB of id and provenance
+_MAX_BATCH_CELLS = 2**30
+
 # one stacked matrix per chunk keeps inter-process transfer cheap
 _ChunkResult = tuple[list[int], np.ndarray, list[dict]]
+
+
+def _check_batch_size(count: int, target_length: int) -> None:
+    """Reject a negative count, or a batch above ``_MAX_BATCH_CELLS`` cells."""
+    if count < 0:
+        raise ConfigError("count must be non-negative")
+    if count * target_length > _MAX_BATCH_CELLS:
+        raise ConfigError(
+            f"count {count} x target_length {target_length} is more than "
+            f"{_MAX_BATCH_CELLS} cells in one batch"
+        )
 
 
 def _worker_chunk(ordinals: Sequence[int]) -> _ChunkResult:
@@ -966,8 +1101,7 @@ def synthesize_batch(
     """
     if engine not in ENGINES:
         raise ConfigError(f"unknown engine {engine!r}")
-    if count < 0:
-        raise ConfigError("count must be non-negative")
+    _check_batch_size(count, config.target_length)
     _check_engine_inputs(corpus, config)
 
     labels_vec = _resolve_assignment(corpus, assignment)
@@ -976,10 +1110,8 @@ def synthesize_batch(
         cluster_weights = ClusterWeights(np.ones(1))
         draw_cluster = False
     else:
-        k = int(labels_vec.max()) + 1
-        clusters = [
-            corpus.subset(np.flatnonzero(labels_vec == c)) for c in range(k)
-        ]
+        clusters = _source(corpus).split(labels_vec)
+        k = len(clusters)
         if weights is None:
             cluster_weights = ClusterWeights(
                 np.bincount(labels_vec, minlength=k).astype(np.float64)

@@ -246,6 +246,19 @@ class TestSynth:
         assert "delta" in err["message"]
         assert not (out / "synth.csv").exists()
 
+    def test_batch_above_cell_bound_is_config_error(self, tmp_path, corpus_csv, capsys):
+        # rejected before the batch allocates anything, not a MemoryError
+        out = tmp_path / "out"
+        code = run_cli(
+            "synth", "--corpus", corpus_csv, "--seed", 11, "--count", 10**12,
+            "--output", out,
+        )
+        assert code == cli.EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "cells in one batch" in err["message"]
+        assert not (out / "synth.csv").exists()
+
     def test_short_day_with_small_delta(self, tmp_path, short_day_csv):
         # only the delta actually used is bounded, not the default of 60
         out = tmp_path / "out"

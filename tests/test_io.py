@@ -226,3 +226,24 @@ def test_interval_load_memory_is_bounded(tmp_path):
         tracemalloc.stop()
     assert loaded.states_matrix.shape == (2000, 1440)
     assert peak <= 64e6, f"traced peak {peak / 1e6:.0f} MB"
+
+
+def test_crlf_file_loads_like_its_lf_copy(tmp_path, monkeypatch):
+    lf = tmp_path / "lf.csv"
+    seqio.save_corpus(activity_ground_truth(40, 96, seed=3), lf)
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    expected = seqio.load_corpus(lf)
+
+    def row_reader(*args):
+        raise AssertionError("a CRLF line left the block decoder")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(seqio, "_codes", row_reader)  # used only by csv.reader rows
+        assert seqio.load_corpus(crlf) == expected
+    # a quoted field later in the file still hands the rest to csv.reader
+    lines = crlf.read_bytes().split(b"\r\n")
+    sid, cells = lines[20].split(b",", 1)
+    lines[20] = b'"' + sid + b'",' + cells
+    crlf.write_bytes(b"\r\n".join(lines))
+    assert seqio.load_corpus(crlf) == expected
