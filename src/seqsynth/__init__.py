@@ -56,7 +56,6 @@ from .synth import (
     BatchProvenance,
     CandidateIndex,
     Candidates,
-    GenerationResult,
     PairedMcEngine,
     SynthesisConfig,
     TvmcEngine,

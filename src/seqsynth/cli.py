@@ -289,7 +289,7 @@ _SCHEMA = {
     },
     "synth": {
         "engines": (list(synth.ENGINES), _ENGINES),
-        "workers": (1, _positive),
+        "workers": (1, synth._check_workers),
         # the corpus's day length; another value fails once the corpus is read
         "target_length": (None, _optional(synth._require_int)),
     },
@@ -349,6 +349,8 @@ def _check(cfg: dict) -> dict:
     )
     if "sweep" in cfg:
         _grid(syn["config"], eff["sweep"])
+    if syn["weights"] is not None and not eff["cluster"]["enabled"]:
+        raise ConfigError("synth.weights need clustering: enable cluster or give --assignment")
 
     if eff["input"]["format"] == seqio.CONTINUOUS:
         if eff["preprocess"]["thresholds"] is None:
@@ -385,7 +387,7 @@ def _run(
     """
     eff = _check(cfg)
     workers = eff["synth"]["workers"] if workers is None else workers
-    _positive("synth.workers", workers)
+    synth._check_workers("synth.workers", workers)
     inp, pre, clu, syn, ev, sw = (eff[name] for name in _SCHEMA)
     outdir = Path(eff["output_dir"] if output is None else output)
     timings: dict[str, float] = {}

@@ -59,10 +59,8 @@ __all__ = [
     "build_index",
     "silverman_bandwidth",
     "extend_with_buffer",
-    "GenerationResult",
     "PairedMcEngine",
     "TvmcEngine",
-    "SequenceProvenance",
     "BatchProvenance",
     "synthesize_batch",
 ]
@@ -195,10 +193,13 @@ def config_from_dict(data: Mapping) -> tuple[SynthesisConfig, int | None, list |
             raise ConfigError("count must be non-negative")
     weights = data.get("weights")
     if weights is not None and not (
-        isinstance(weights, list) and weights and all(_finite(w) and w >= 0 for w in weights)
+        isinstance(weights, list)
+        and all(_finite(w) and w >= 0 for w in weights)
+        and any(w > 0 for w in weights)
     ):
         raise ConfigError(
-            f"weights must be a non-empty list of finite non-negative numbers, got {weights!r}"
+            "weights must be a list of finite non-negative numbers, at least one "
+            f"positive, got {weights!r}"
         )
     return cfg, count, weights
 
@@ -652,21 +653,6 @@ def _source(corpus: Corpus) -> _Source:
     return source
 
 
-@dataclass(frozen=True)
-class GenerationResult:
-    """One generated sequence of exactly the target length.
-
-    ``fallbacks`` counts how often each recovery rule fired.
-    """
-
-    states: np.ndarray
-    fallbacks: dict[str, int]
-
-    @property
-    def fallback_total(self) -> int:
-        return sum(self.fallbacks.values())
-
-
 # doubles read ahead per row of a paired-mc block; any width gives the same output
 _WIDTH = 64
 
@@ -738,6 +724,7 @@ class PairedMcEngine:
     """
 
     name = "paired-mc"
+    fallback_names = _FALLBACKS
 
     def __init__(self, corpus: Corpus, config: SynthesisConfig, stream_key: int = 0):
         _check_engine_inputs(corpus, config)
@@ -756,31 +743,19 @@ class PairedMcEngine:
             self._by_state = slot.by_state
             self._pool = source.all_day if config.duration_pool == "all_day" else slot.window
 
-    def generate_many(self, rngs: Sequence[np.random.Generator]) -> list[GenerationResult]:
-        """One sequence per stream, in order.
+    def generate_many(self, rngs: Sequence[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
+        """One sequence per stream, in order: ``(states, fallbacks)``.
 
+        ``states`` is ``(len(rngs), target_length)``; ``fallbacks`` counts
+        each row's fallbacks in the columns named by ``fallback_names``.
         Each stream is left just past the doubles its sequence used.
         """
-        uniforms = _Uniforms(rngs)
-        chains, fallbacks = self._run(uniforms)
-        uniforms.release()
-        return [
-            GenerationResult(self._expand(*chain), fb)
-            for chain, fb in zip(chains, fallbacks)
-        ]
-
-    def _expand(self, states: list, starts: list, end: int) -> np.ndarray:
-        durations = np.diff(starts + [end])
-        return np.repeat(np.asarray(states, dtype=np.int64), durations)[: self.n]
-
-    def _run(self, uniforms: _Uniforms) -> tuple[list, list]:
-        """(states, starts, end) of each row's episode chain, and its fallbacks."""
         index = self.index
+        uniforms = _Uniforms(rngs)
         n_rows = uniforms.n_rows
         every = np.arange(n_rows)
         cur, end = self.first.draw(uniforms.take(every), uniforms.take(every))
-        chain_states = [[state] for state in cur.tolist()]
-        chain_starts = [[0] for _ in range(n_rows)]
+        episodes = [(every, cur.copy(), np.zeros(n_rows, dtype=np.int64))]
         # preceding states, most recent first; depth counts the episodes before
         context = np.zeros((n_rows, MAX_ORDER - 1), dtype=np.int64)
         depth = np.zeros(n_rows, dtype=np.int64)
@@ -817,19 +792,23 @@ class PairedMcEngine:
             end[grow] += 1
             moved = found | (nxt != cur[live])
             rows = live[moved]
-            starts = end[rows].tolist()
-            for r, state, start in zip(rows.tolist(), nxt[moved].tolist(), starts):
-                chain_states[r].append(state)
-                chain_starts[r].append(start)
+            episodes.append((rows, nxt[moved], end[rows]))
             context[rows, 1:] = context[rows, :-1]
             context[rows, 0] = cur[rows]
             depth[rows] += 1
             cur[rows] = nxt[moved]
             end[rows] += dur[moved]
             live = live[end[live] < self.stop]
+        uniforms.release()
 
-        chains = list(zip(chain_states, chain_starts, end.tolist()))
-        return chains, [dict(zip(_FALLBACKS, row)) for row in fallbacks.tolist()]
+        # each step recorded the (rows, states, starts) of the episodes it began
+        rows, states, starts = (np.concatenate(part) for part in zip(*episodes))
+        # steps run in time order, so a stable sort by row keeps each row's
+        # episodes in start order; an episode past the day gets no interval
+        by_row = np.argsort(rows, kind="stable")
+        flat = rows[by_row] * self.n + np.minimum(starts[by_row], self.n)
+        durations = np.diff(flat, append=n_rows * self.n)
+        return np.repeat(states[by_row], durations).reshape(n_rows, self.n), fallbacks
 
     def _two_stage(self, uniforms, rows, lo, hi) -> tuple[np.ndarray, np.ndarray]:
         """A state by its multiplicity in each ``[lo, hi)``, then its duration.
@@ -908,6 +887,7 @@ class TvmcEngine:
     """
 
     name = "tvmc"
+    fallback_names = ("marginal",)
 
     def __init__(self, corpus: Corpus, config: SynthesisConfig, stream_key: int = 0):
         _check_engine_inputs(corpus, config)
@@ -915,8 +895,8 @@ class TvmcEngine:
         self.n = corpus.length
         self.model = _source(corpus).tvmc
 
-    def generate_many(self, rngs: Sequence[np.random.Generator]) -> list[GenerationResult]:
-        """One sequence per stream, in order."""
+    def generate_many(self, rngs: Sequence[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
+        """One sequence per stream, in order: ``(states, fallbacks)``, as for paired-mc."""
         u = np.empty((len(rngs), self.n))
         for row, rng in zip(u, rngs):
             rng.random(out=row)
@@ -924,41 +904,37 @@ class TvmcEngine:
         states = np.empty_like(u, dtype=np.int64)
         states[:, 0] = np.searchsorted(first, u[:, 0] * first[-1], side="right")
         states[:, 1:], fallbacks = self.model.walk(states[:, 0], 1, u[:, 1:])
-        return [
-            GenerationResult(row, {"marginal": int(fb)})
-            for row, fb in zip(states, fallbacks)
-        ]
+        return states, fallbacks[:, None]
 
 
 _ENGINE_CLASSES = {"paired-mc": PairedMcEngine, "tvmc": TvmcEngine}
 
 
 @dataclass(frozen=True)
-class SequenceProvenance:
-    id: str
-    ordinal: int
-    cluster: int
-    fallbacks: Mapping[str, int]
-
-
-@dataclass(frozen=True)
 class BatchProvenance:
-    """What produced a synthesized corpus, per sequence and in total."""
+    """What produced a synthesized corpus, per sequence and in total.
+
+    Sequence ``i`` has ordinal ``i``, id ``ids[i]``, cluster ``clusters[i]``
+    and the fallback counts ``fallbacks[i]``, one column per name in
+    ``fallback_names``.
+    """
 
     engine: str
     config: SynthesisConfig
     count: int
     weights: tuple[float, ...]
-    sequences: tuple[SequenceProvenance, ...]
+    ids: tuple[str, ...]
+    clusters: np.ndarray
+    fallback_names: tuple[str, ...]
+    fallbacks: np.ndarray
 
     def fallback_totals(self) -> dict[str, int]:
-        totals: dict[str, int] = {}
-        for sp in self.sequences:
-            for key, value in sp.fallbacks.items():
-                totals[key] = totals.get(key, 0) + int(value)
-        return totals
+        if not self.count:
+            return {}
+        return dict(zip(self.fallback_names, self.fallbacks.sum(axis=0).tolist()))
 
     def to_dict(self) -> dict:
+        names = self.fallback_names
         return {
             "engine": self.engine,
             "config": config_to_dict(self.config),
@@ -967,12 +943,14 @@ class BatchProvenance:
             "fallback_totals": self.fallback_totals(),
             "sequences": [
                 {
-                    "id": sp.id,
-                    "ordinal": sp.ordinal,
-                    "cluster": sp.cluster,
-                    "fallbacks": dict(sp.fallbacks),
+                    "id": sid,
+                    "ordinal": ordinal,
+                    "cluster": cluster,
+                    "fallbacks": dict(zip(names, row)),
                 }
-                for sp in self.sequences
+                for ordinal, (sid, cluster, row) in enumerate(
+                    zip(self.ids, self.clusters.tolist(), self.fallbacks.tolist())
+                )
             ],
         }
 
@@ -1022,8 +1000,18 @@ _WINDOW_ROWS = 4 * _BLOCK_ROWS
 # sequence adds under 1 KB of id and provenance
 _MAX_BATCH_CELLS = 2**30
 
-# one stacked matrix per chunk keeps inter-process transfer cheap
-_ChunkResult = tuple[list[int], np.ndarray, list[dict]]
+# the pool starts all its workers at once, one forked process each, so a
+# worker count far beyond any host's cores would only exhaust processes
+_MAX_WORKERS = 64
+
+
+def _check_workers(name: str, workers) -> None:
+    """Reject a worker count that is not an integer in ``[1, _MAX_WORKERS]``."""
+    _require_int(name, workers)
+    if workers < 1:
+        raise ConfigError(f"{name} must be at least 1, got {workers!r}")
+    if workers > _MAX_WORKERS:
+        raise ConfigError(f"{name} must be at most {_MAX_WORKERS}, got {workers!r}")
 
 
 def _check_batch_size(count: int, target_length: int) -> None:
@@ -1037,36 +1025,30 @@ def _check_batch_size(count: int, target_length: int) -> None:
         )
 
 
-def _worker_chunk(ordinals: Sequence[int]) -> _ChunkResult:
-    """(cluster, states row, fallbacks) of each ordinal, in the given order."""
+def _worker_chunk(ordinals: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(clusters, states, fallbacks) of the ordinals, one row each, in order."""
     config = _WORKER["config"]
     dtype = _WORKER["clusters"][0].alphabet.cell_dtype
+    names = _ENGINE_CLASSES[_WORKER["engine_name"]].fallback_names
     ords = list(ordinals)
-    clusters: list[int] = []
+    clusters = np.zeros(len(ords), dtype=np.int64)
     states = np.empty((len(ords), config.target_length), dtype=dtype)
-    fallbacks: list = [None] * len(ords)
+    fallbacks = np.empty((len(ords), len(names)), dtype=np.int64)
     for start in range(0, len(ords), _WINDOW_ROWS):
         rngs = [
             _stream(config.seed, _SEQUENCE_STREAM, o)
             for o in ords[start : start + _WINDOW_ROWS]
         ]
+        drawn = clusters[start : start + len(rngs)]
         if _WORKER["draw_cluster"]:
-            u = np.array([rng.random() for rng in rngs])
-            drawn = _WORKER["weights"].choose(u).tolist()
-        else:
-            drawn = [0] * len(rngs)
-        clusters.extend(drawn)
-        rows_by_cluster: dict[int, list[int]] = {}
-        for row, cluster in enumerate(drawn):
-            rows_by_cluster.setdefault(cluster, []).append(row)
-        for cluster, rows in rows_by_cluster.items():
+            drawn[:] = _WORKER["weights"].choose(np.array([rng.random() for rng in rngs]))
+        for cluster in np.unique(drawn).tolist():
             engine = _engine_for(cluster)
-            for lo in range(0, len(rows), _BLOCK_ROWS):
+            rows = np.flatnonzero(drawn == cluster)
+            for lo in range(0, rows.size, _BLOCK_ROWS):
                 block = rows[lo : lo + _BLOCK_ROWS]
-                results = engine.generate_many([rngs[r] for r in block])
-                for row, result in zip(block, results):
-                    states[start + row] = result.states
-                    fallbacks[start + row] = result.fallbacks
+                at = start + block
+                states[at], fallbacks[at] = engine.generate_many([rngs[r] for r in block])
     return clusters, states, fallbacks
 
 
@@ -1095,17 +1077,21 @@ def synthesize_batch(
     """Generate ``count`` sequences, optionally spread over clusters.
 
     With an assignment, each output first draws a cluster (weights
-    default to cluster sizes) and then synthesizes from that cluster's
-    sub-corpus.  Output ``i`` depends only on (corpus, config, i), so
-    results are byte-identical for any ``workers`` value.
+    default to cluster sizes; without an assignment, weights are an
+    error) and then synthesizes from that cluster's sub-corpus.  Output
+    ``i`` depends only on (corpus, config, i), so results are
+    byte-identical for any ``workers`` value from 1 to 64.
     """
     if engine not in ENGINES:
         raise ConfigError(f"unknown engine {engine!r}")
+    _check_workers("workers", workers)
     _check_batch_size(count, config.target_length)
     _check_engine_inputs(corpus, config)
 
     labels_vec = _resolve_assignment(corpus, assignment)
     if labels_vec is None:
+        if weights is not None:
+            raise ConfigError("weights need a cluster assignment")
         clusters = [corpus]
         cluster_weights = ClusterWeights(np.ones(1))
         draw_cluster = False
@@ -1127,7 +1113,7 @@ def synthesize_batch(
         draw_cluster = True
 
     _worker_init(clusters, config, engine, cluster_weights, draw_cluster)
-    if workers <= 1 or count == 0:
+    if workers == 1 or count == 0:
         chunk_results = [_worker_chunk(range(count))]
     else:
         # build every engine before the pool starts so forked workers
@@ -1152,8 +1138,9 @@ def synthesize_batch(
         if thaw:
             gc.freeze()
         try:
+            # every worker starts at once, so none is started without a chunk
             with ProcessPoolExecutor(
-                max_workers=workers, mp_context=ctx, initializer=init, initargs=initargs
+                min(workers, len(chunks)), mp_context=ctx, initializer=init, initargs=initargs
             ) as pool:
                 chunk_results = list(pool.map(_worker_chunk, chunks))
         finally:
@@ -1162,20 +1149,17 @@ def synthesize_batch(
     _WORKER.clear()
 
     # pool.map keeps chunk order, so the rows arrive in ordinal order
+    drawn, states, fallbacks = (np.concatenate(part) for part in zip(*chunk_results))
     ids = tuple(f"{id_prefix}-{ordinal:06d}" for ordinal in range(count))
-    states = np.concatenate([chunk[1] for chunk in chunk_results])
-    drawn = (c for chunk in chunk_results for c in chunk[0])
-    fallbacks = (fb for chunk in chunk_results for fb in chunk[2])
-    provenance = [
-        SequenceProvenance(sid, ordinal, cluster, dict(fb))
-        for ordinal, (sid, cluster, fb) in enumerate(zip(ids, drawn, fallbacks))
-    ]
     out_corpus = Corpus(corpus.alphabet, states, ids, corpus.interval_minutes)
     batch = BatchProvenance(
         engine,
         config,
         count,
         tuple(float(w) for w in cluster_weights.weights),
-        tuple(provenance),
+        ids,
+        drawn,
+        _ENGINE_CLASSES[engine].fallback_names,
+        fallbacks,
     )
     return out_corpus, batch

@@ -87,6 +87,8 @@ PROBES = [
     # an int beyond the float range is no finite number
     (("preprocess", "thresholds"), [760, 10**400], "preprocess.thresholds must be"),
     (("synth", "weights"), [1, 10**400], "weights must be"),
+    (("synth", "weights"), [0, 0, 0], "at least one positive"),
+    (("synth", "workers"), synth._MAX_WORKERS + 1, "synth.workers must be at most"),
     (("synth", "sampler", "bandwidth_rule"), 10**400, "kde bandwidth must be"),
 ]
 
@@ -172,9 +174,17 @@ def test_wrong_kind_or_unknown_key_fails_before_any_stage(cfg):
 
 @pytest.fixture
 def corpus_csv(tmp_path):
+    """A corpus, with a two-cluster assignment of it beside it."""
     path = tmp_path / "corpus.csv"
-    seqio.save_corpus(activity_ground_truth(12, 240, seed=70), path)
+    corpus = activity_ground_truth(12, 240, seed=70)
+    seqio.save_corpus(corpus, path)
+    labels = {sid: i % 2 for i, sid in enumerate(corpus.ids)}
+    seqio.save_cluster_labels(labels, _assignment(path))
     return path
+
+
+def _assignment(corpus) -> Path:
+    return Path(corpus).with_name("assignment.csv")
 
 
 def _flags(corpus):
@@ -183,6 +193,16 @@ def _flags(corpus):
                           ("synth", "workers"), 0),
         "sweep-workers": (["sweep", "--corpus", corpus, "--seed", 1, "--workers", 0],
                           ("synth", "workers"), 0),
+        "synth-workers-bound": (
+            ["synth", "--corpus", corpus, "--seed", 1, "--workers", synth._MAX_WORKERS + 1],
+            ("synth", "workers"), synth._MAX_WORKERS + 1,
+        ),
+        # the flag's weights are floats, so the pipeline's are too
+        "synth-zero-weights": (
+            ["synth", "--corpus", corpus, "--seed", 1, "--assignment", _assignment(corpus),
+             "--weights", "0,0"],
+            ("synth", "weights"), [0.0, 0.0],
+        ),
         "sweep-deltas": (["sweep", "--corpus", corpus, "--seed", 1, "--deltas", ","],
                          ("sweep", "deltas"), []),
         "ingest-interval-minutes": (["ingest", "--input", corpus, "--interval-minutes", 0],
@@ -207,6 +227,20 @@ def test_flag_fails_like_its_pipeline_field(tmp_path, corpus_csv, case):
     flag_message = _assert_config_error(code, err, out)
     assert not out.exists()
     code, err = _pipeline(_with(path, value), tmp_path)
+    assert _assert_config_error(code, err, tmp_path / "out") == flag_message
+
+
+def test_weights_need_clustering(tmp_path, corpus_csv):
+    # weights were once ignored without clusters, and recorded as [1.0]
+    out = tmp_path / "flag-out"
+    argv = ["synth", "--corpus", corpus_csv, "--seed", 1, "--weights", "0.7,0.3"]
+    code, err = _run(argv + ["--output", out])
+    flag_message = _assert_config_error(code, err, out)
+    assert not out.exists()
+    assert "synth.weights need clustering" in flag_message
+    cfg = _with(("synth", "weights"), [0.7, 0.3])
+    cfg["cluster"]["enabled"] = False
+    code, err = _pipeline(cfg, tmp_path)
     assert _assert_config_error(code, err, tmp_path / "out") == flag_message
 
 

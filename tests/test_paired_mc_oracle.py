@@ -15,6 +15,7 @@ them exactly: the same states and the same per-sequence fallback counts
 from the same streams.
 """
 
+import json
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
@@ -51,6 +52,7 @@ from seqsynth.synth import (
 )
 
 from _groundtruth import activity_ground_truth
+from _provenance import oracle_provenance_json
 
 FALLBACK_KEYS = ("window_widened", "order_reduced", "tvmc_steps")
 
@@ -416,21 +418,24 @@ def _compare(corpus, config, n_rows=6):
     oracle = OracleEngine(corpus, config)
     oracle_records = sum(b.starts.size for b in oracle.index._blocks.values())
     assert engine.index.n_records == oracle_records
-    got = engine.generate_many(_streams(config.seed, n_rows))
+    assert engine.fallback_names == FALLBACK_KEYS
+    states, fallbacks = engine.generate_many(_streams(config.seed, n_rows))
     want = [oracle.generate(rng) for rng in _streams(config.seed, n_rows)]
+    assert states.shape == (n_rows, corpus.length)
+    assert fallbacks.shape == (n_rows, len(FALLBACK_KEYS))
     totals = dict.fromkeys(FALLBACK_KEYS, 0)
-    for g, w in zip(got, want):
-        assert g.states.dtype == w.states.dtype
-        assert np.array_equal(g.states, w.states)
-        assert list(g.fallbacks.items()) == list(w.fallbacks.items())
+    for row, counts, w in zip(states, fallbacks.tolist(), want):
+        assert row.dtype == w.states.dtype
+        assert np.array_equal(row, w.states)
+        assert list(zip(FALLBACK_KEYS, counts)) == list(w.fallbacks.items())
         for key in FALLBACK_KEYS:
             totals[key] += w.fallbacks[key]
     # a one-row block draws as a row of a larger one does
     [rng] = _streams(config.seed + 1, 1)
     [oracle_rng] = _streams(config.seed + 1, 1)
-    [single], expected = engine.generate_many([rng]), oracle.generate(oracle_rng)
-    assert np.array_equal(single.states, expected.states)
-    assert single.fallbacks == expected.fallbacks
+    (single, counts), expected = engine.generate_many([rng]), oracle.generate(oracle_rng)
+    assert np.array_equal(single[0], expected.states)
+    assert dict(zip(FALLBACK_KEYS, counts[0])) == expected.fallbacks
     return totals
 
 
@@ -557,11 +562,30 @@ class TestBatchOracle:
         )
         states, drawn = _oracle_batch(corpus, config, count, vec, weights)
         assert np.array_equal(out.states_matrix, states)
-        for ordinal, (sp, (cluster, fallbacks)) in enumerate(zip(prov.sequences, drawn)):
-            assert (sp.ordinal, sp.cluster) == (ordinal, cluster)
-            assert list(sp.fallbacks.items()) == list(fallbacks.items())
+        want = oracle_provenance_json("paired-mc", config, count, weights or [1.0], drawn)
+        assert json.dumps(prov.to_dict()) == want
         if clustered:
             assert np.bincount([c for c, _ in drawn], minlength=3)[2] > 2 * 8
+
+    @pytest.mark.parametrize("clustered", [False, True])
+    @pytest.mark.parametrize("engine", ["paired-mc", "tvmc"])
+    def test_empty_batch(self, engine, clustered):
+        corpus = activity_ground_truth(30, 120, seed=85)
+        config = SynthesisConfig(delta=15, target_length=120, seed=86)
+        if clustered:
+            labels = {sid: i % 3 for i, sid in enumerate(corpus.ids)}
+            weights = [0.7, 0.2, 0.1]
+        else:
+            labels, weights = None, [1.0]
+        out, prov = synthesize_batch(
+            corpus, config, 0, engine=engine, assignment=labels,
+            weights=weights if clustered else None,
+        )
+        assert len(out) == 0
+        assert prov.fallback_totals() == {}
+        assert json.dumps(prov.to_dict()) == oracle_provenance_json(
+            engine, config, 0, weights, []
+        )
 
     @pytest.mark.parametrize("clustered", [False, True])
     @pytest.mark.parametrize("sampler", ["direct", "kde-silverman", "all-day"])

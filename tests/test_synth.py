@@ -19,6 +19,7 @@ from seqsynth import (
     rle_encode,
     synthesize_batch,
 )
+from seqsynth import synth
 from seqsynth.synth import (
     Candidates,
     FirstEpisodeTable,
@@ -396,15 +397,16 @@ class TestPairedMc:
         day = [0] * 420 + [1] * 30 + [2] * 510 + [1] * 30 + [0] * 450
         corpus = Corpus.from_arrays(alphabet, [day] * 4)
         config = SynthesisConfig(delta=60, target_length=1440, seed=3)
-        out = PairedMcEngine(corpus, config).generate_many([np.random.default_rng(3)])[0]
-        assert out.states.tolist() == day
+        states, _ = PairedMcEngine(corpus, config).generate_many([np.random.default_rng(3)])
+        assert states.tolist() == [day]
 
     def test_constant_corpus_reproduced(self):
         alphabet = two_state_alphabet()
         corpus = Corpus.from_arrays(alphabet, [[0] * 100] * 3)
         config = SynthesisConfig(delta=10, target_length=100, seed=4)
-        out = PairedMcEngine(corpus, config).generate_many([np.random.default_rng(4)])[0]
-        assert (out.states == 0).all()
+        states, _ = PairedMcEngine(corpus, config).generate_many([np.random.default_rng(4)])
+        assert states.shape == (1, 100)
+        assert (states == 0).all()
 
     def test_exact_length_and_alphabet_closure(self):
         corpus = activity_ground_truth(40, 500, seed=30)
@@ -415,10 +417,10 @@ class TestPairedMc:
             engine = PairedMcEngine(corpus, config)
             rng = np.random.default_rng(31 + order)
             for _ in range(5):
-                [result] = engine.generate_many([rng])
-                assert result.states.size == 500
-                assert result.states.min() >= 0
-                assert result.states.max() < corpus.alphabet.size
+                states, _ = engine.generate_many([rng])
+                assert states.shape == (1, 500)
+                assert states.min() >= 0
+                assert states.max() < corpus.alphabet.size
 
     def test_realizability_replay(self):
         corpus = activity_ground_truth(120, 400, seed=32)
@@ -429,10 +431,10 @@ class TestPairedMc:
         rng, oracle_rng = np.random.default_rng(33), np.random.default_rng(33)
         checked = 0
         for _ in range(10):
-            [result] = engine.generate_many([rng])
+            states, fallbacks = engine.generate_many([rng])
             chain = oracle.generate(oracle_rng)
-            assert np.array_equal(result.states, chain.states)
-            assert result.fallbacks == chain.fallbacks
+            assert np.array_equal(states[0], chain.states)
+            assert dict(zip(engine.fallback_names, fallbacks[0])) == chain.fallbacks
             if chain.fallback_total == 0:
                 assert verify_realizable(chain, engine.index, config)
                 checked += 1
@@ -450,8 +452,8 @@ class TestPairedMc:
         rng = np.random.default_rng(28)
         seen = set()
         for _ in range(40):
-            [result] = engine.generate_many([rng])
-            episodes = rle_encode(IntervalSequence(result.states)).episodes
+            states, _ = engine.generate_many([rng])
+            episodes = rle_encode(IntervalSequence(states[0])).episodes
             first_switch = episodes[1].start if len(episodes) > 1 else None
             seen.add(first_switch)
             if first_switch == 60:
@@ -467,22 +469,22 @@ class TestPairedMc:
         )
         engine = PairedMcEngine(corpus, config)
         assert engine.stop == 300
-        result = engine.generate_many([np.random.default_rng(35)])[0]
-        assert result.states.size == 300
+        states, _ = engine.generate_many([np.random.default_rng(35)])
+        assert states.shape == (1, 300)
 
     def test_kde_engine_runs(self):
         corpus = activity_ground_truth(30, 300, seed=36)
         config = SynthesisConfig(delta=30, target_length=300, seed=8, sampler="kde")
-        out = PairedMcEngine(corpus, config).generate_many([np.random.default_rng(8)])[0]
-        assert out.states.size == 300
+        states, _ = PairedMcEngine(corpus, config).generate_many([np.random.default_rng(8)])
+        assert states.shape == (1, 300)
 
     def test_all_day_duration_pool(self):
         corpus = activity_ground_truth(30, 300, seed=37)
         config = SynthesisConfig(
             delta=30, target_length=300, seed=9, duration_pool="all_day"
         )
-        out = PairedMcEngine(corpus, config).generate_many([np.random.default_rng(9)])[0]
-        assert out.states.size == 300
+        states, _ = PairedMcEngine(corpus, config).generate_many([np.random.default_rng(9)])
+        assert states.shape == (1, 300)
 
     def test_target_length_mismatch_rejected(self):
         corpus = activity_ground_truth(5, 100, seed=38)
@@ -497,8 +499,8 @@ class TestTvmc:
         day = [0] * 40 + [1] * 30 + [0] * 30
         corpus = Corpus.from_arrays(alphabet, [day] * 3)
         config = SynthesisConfig(delta=10, target_length=100, seed=10)
-        [out] = TvmcEngine(corpus, config).generate_many([np.random.default_rng(10)])
-        assert out.states.tolist() == day
+        states, _ = TvmcEngine(corpus, config).generate_many([np.random.default_rng(10)])
+        assert states.tolist() == [day]
 
     def test_forced_switch_time(self):
         alphabet = two_state_alphabet()
@@ -513,9 +515,9 @@ class TestTvmc:
         engine = TvmcEngine(corpus, config)
         rng = np.random.default_rng(40)
         for _ in range(10):
-            [result] = engine.generate_many([rng])
-            assert (result.states[:100] == 0).all()
-            assert result.states[100] == 1
+            [states], _ = engine.generate_many([rng])
+            assert (states[:100] == 0).all()
+            assert states[100] == 1
 
     def test_interval_marginals_match_source(self):
         corpus = activity_ground_truth(150, 240, seed=41)
@@ -604,16 +606,15 @@ class TestBatch:
         out, prov = synthesize_batch(
             corpus, config, 10, assignment=labels, weights=[1.0, 0.0]
         )
-        assert all(sp.cluster == 0 for sp in prov.sequences)
-        assert tuple(sp.id for sp in prov.sequences) == out.ids
+        assert prov.clusters.tolist() == [0] * 10
+        assert prov.ids == out.ids
 
     def test_cluster_draws_follow_sizes(self):
         corpus = activity_ground_truth(40, 100, seed=47)
         labels = {sid: (0 if i < 30 else 1) for i, sid in enumerate(corpus.ids)}
         config = SynthesisConfig(delta=10, target_length=100, seed=17)
         _, prov = synthesize_batch(corpus, config, 400, assignment=labels)
-        drawn = np.array([sp.cluster for sp in prov.sequences])
-        assert np.mean(drawn == 0) == pytest.approx(0.75, abs=0.07)
+        assert np.mean(prov.clusters == 0) == pytest.approx(0.75, abs=0.07)
 
     def test_unknown_engine_rejected(self):
         corpus = random_corpus(np.random.default_rng(48), n_seq=3, length=30)
@@ -629,6 +630,50 @@ class TestBatch:
             synthesize_batch(
                 corpus, config, 2, assignment=labels, weights=[1.0, 1.0, 1.0]
             )
+
+    def test_weights_without_assignment_rejected(self):
+        # they were once ignored, and the provenance recorded weights [1.0]
+        corpus = activity_ground_truth(10, 60, seed=95)
+        config = SynthesisConfig(delta=10, target_length=60, seed=20)
+        with pytest.raises(ConfigError, match="weights need a cluster assignment"):
+            synthesize_batch(corpus, config, 2, weights=[0.7, 0.3])
+
+    def test_worker_count_is_bounded_before_any_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was constructed")
+
+        monkeypatch.setattr(synth, "ProcessPoolExecutor", no_pool)
+        corpus = activity_ground_truth(10, 60, seed=95)
+        config = SynthesisConfig(delta=10, target_length=60, seed=20)
+        for workers, message in ((synth._MAX_WORKERS + 1, "at most"), (0, "at least 1")):
+            with pytest.raises(ConfigError, match=f"workers must be {message}"):
+                synthesize_batch(corpus, config, 2, workers=workers)
+
+    def test_pool_has_no_more_workers_than_chunks(self, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            """Records its size and runs the chunks in this process."""
+
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                return map(fn, chunks)
+
+        monkeypatch.setattr(synth, "ProcessPoolExecutor", SerialPool)
+        corpus = activity_ground_truth(10, 60, seed=95)
+        config = SynthesisConfig(delta=10, target_length=60, seed=20)
+        serial, _ = synthesize_batch(corpus, config, 2)
+        pooled, _ = synthesize_batch(corpus, config, 2, workers=synth._MAX_WORKERS)
+        assert sizes == [2]
+        assert pooled == serial
 
     def test_ordinal_streams_are_stable_under_count(self):
         # sequence i is identical whether the batch stops at i+1 or later

@@ -7,6 +7,8 @@ the one-sequence ``TvmcEngine.generate`` loop as the reference that
 must reproduce exactly.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from seqsynth import synth
 from seqsynth.synth import _SEQUENCE_STREAM
 
 from _groundtruth import activity_ground_truth
+from _provenance import oracle_provenance_json
 
 
 def oracle_fit(corpus):
@@ -195,16 +198,18 @@ class TestBatchOracle:
 
         fitted = [oracle_fit(part) for part in parts]
         want = np.empty((count, corpus.length), dtype=np.int64)
+        drawn = []
         for ordinal in range(count):
             rng = np.random.default_rng(
                 np.random.SeedSequence((config.seed, _SEQUENCE_STREAM, ordinal))
             )
             cluster = sample_cluster(ClusterWeights(weights), rng) if clustered else 0
             want[ordinal], marginal = oracle_generate(fitted[cluster], rng)
-            sp = prov.sequences[ordinal]
-            assert (sp.ordinal, sp.cluster) == (ordinal, cluster)
-            assert dict(sp.fallbacks) == {"marginal": marginal}
+            drawn.append((cluster, {"marginal": marginal}))
         assert np.array_equal(out.states_matrix, want)
+        assert json.dumps(prov.to_dict()) == oracle_provenance_json(
+            "tvmc", config, count, weights or [1.0], drawn
+        )
         if clustered:
-            drawn = np.bincount([sp.cluster for sp in prov.sequences], minlength=3)
-            assert drawn.max() > 256  # one cluster spans two blocks
+            sizes = np.bincount(prov.clusters, minlength=3)
+            assert sizes.max() > 256  # one cluster spans two blocks
