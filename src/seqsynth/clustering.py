@@ -223,15 +223,14 @@ def pairwise_distance(corpus: Corpus, metric: str = "hamming") -> DistanceMatrix
         )
     mat = corpus.states_matrix
     length = mat.shape[1]
-    # matches(i, j) = sum_s <row_i == s> . <row_j == s>; exact in float32
-    # because counts never exceed the sequence length
-    matches = np.zeros((n, n), dtype=np.float64)
+    # dist(i, j) = length - sum_s <row_i == s> . <row_j == s>; each product
+    # is exact in float32 because counts never exceed the sequence length
+    # (< 2**24), so the sum is an exact, symmetric integer with a zero diagonal
+    dist = np.zeros((n, n), dtype=np.float64)
     for s in range(corpus.alphabet.size):
         one_hot = (mat == s).astype(np.float32)
-        matches += (one_hot @ one_hot.T).astype(np.float64)
-    dist = np.rint(length - matches)
-    dist = (dist + dist.T) / 2.0
-    np.fill_diagonal(dist, 0.0)
+        dist -= one_hot @ one_hot.T
+    dist += length
     return DistanceMatrix(dist)
 
 

@@ -335,15 +335,11 @@ def build_report(
             values = ep_durs[ep_states == original.alphabet.index(state)]
         return _apply_range(values, ranges.get(state))
 
-    def combined_values(name: str, state: str | None) -> np.ndarray:
-        corpus = corpora[name]
-        if state is None:
-            values = np.full(len(corpus), corpus.length, dtype=np.int64)
-        else:
-            idx = original.alphabet.index(state)
-            values = (corpus.states_matrix == idx).sum(axis=1)
-            if excludes_zero(state):
-                values = values[values > 0]
+    def combined_values(name: str, state: str) -> np.ndarray:
+        idx = original.alphabet.index(state)
+        values = (corpora[name].states_matrix == idx).sum(axis=1)
+        if excludes_zero(state):
+            values = values[values > 0]
         return _apply_range(values, ranges.get(state))
 
     individual: dict = {}

@@ -197,11 +197,15 @@ def config_from_dict(data: Mapping) -> tuple[SynthesisConfig, int | None, list |
         and all(_finite(w) and w >= 0 for w in weights)
         and any(w > 0 for w in weights)
     ):
-        raise ConfigError(
-            "weights must be a list of finite non-negative numbers, at least one "
-            f"positive, got {weights!r}"
-        )
+        raise _weights_error(weights)
     return cfg, count, weights
+
+
+def _weights_error(weights) -> ConfigError:
+    return ConfigError(
+        "weights must be a list of finite non-negative numbers, at least one "
+        f"positive, got {weights!r}"
+    )
 
 
 def config_to_dict(
@@ -378,6 +382,9 @@ class CandidateIndex:
     one sorted int64 array of ``key * horizon + start``, so the windows of
     any number of queries are two vectorized binary searches, each giving
     a contiguous range ``[lo, hi)`` of ``records``.
+
+    The by-state pools of the two-stage draws, ``by_state`` and
+    ``window_pool``, are built on first use and live as long as the index.
     """
 
     def __init__(self, keys, records, states, durations, n_states, horizon, delta, order):
@@ -393,6 +400,20 @@ class CandidateIndex:
     @property
     def n_records(self) -> int:
         return int(self.states.size)
+
+    @cached_property
+    def by_state(self) -> np.ndarray:
+        """Index positions grouped by record state, ``state * span + position``.
+
+        A state's records in a window ``[lo, hi)`` are one contiguous run of it.
+        """
+        span = self.records.size
+        return np.sort(self.states[self.records] * span + np.arange(span))
+
+    @cached_property
+    def window_pool(self) -> _Pool:
+        """Record durations in ``by_state`` order."""
+        return _Pool(self.durations[self.records[self.by_state % self.records.size]])
 
     def context_key(self, a_c, context, m) -> np.ndarray:
         return _context_key(self.n_states, self.horizon, a_c, context, m)
@@ -540,38 +561,20 @@ class _Pool:
         return np.array([memo[p] for p in pools], dtype=np.float64)
 
 
-class _Slot:
-    """The index of one buffered corpus, and the by-state pools read from it.
+class _Slot(NamedTuple):
+    """A buffered corpus and its index; ``buffered`` is None for the source itself."""
 
-    ``buffered`` is None when the index is of the source corpus itself.
-    """
-
-    def __init__(self, key: tuple, buffered: Corpus | None, index: CandidateIndex):
-        self.key = key
-        self.buffered = buffered
-        self.index = index
-
-    @cached_property
-    def by_state(self) -> np.ndarray:
-        """Index positions grouped by record state, ``state * span + position``.
-
-        A state's records in a window ``[lo, hi)`` are one contiguous run of it.
-        """
-        index = self.index
-        span = index.records.size
-        return np.sort(index.states[index.records] * span + np.arange(span))
-
-    @cached_property
-    def window(self) -> _Pool:
-        index = self.index
-        return _Pool(index.durations[index.records[self.by_state % index.records.size]])
+    key: tuple
+    buffered: Corpus | None
+    index: CandidateIndex
 
 
 class _Source:
     """The source-side model of one corpus, shared by every engine over it.
 
     :func:`_source` keeps one per corpus object, and each part is built
-    the first time an engine asks for it:
+    the first time an engine asks for it (an engine is only a view of
+    these parts, so a batch builds one for each cluster block it runs):
 
     * the fitted :class:`TvmcModel`, the :class:`FirstEpisodeTable` and
       the all_day duration pool;
@@ -583,6 +586,7 @@ class _Source:
       their own sorted run, so a lower order finds the same ``[lo, hi)``
       and records in a higher-order index.  A higher order rebuilds the
       index over the same buffered corpus; another key replaces the slot.
+      The index keeps its own by-state pools, so they go with it.
 
     This is sound because a ``Corpus`` is frozen and owns a read-only
     matrix.  The source holds only a weak reference to its corpus, which
@@ -723,7 +727,6 @@ class PairedMcEngine:
     of the batch, the block size or the buffer width.
     """
 
-    name = "paired-mc"
     fallback_names = _FALLBACKS
 
     def __init__(self, corpus: Corpus, config: SynthesisConfig, stream_key: int = 0):
@@ -733,15 +736,15 @@ class PairedMcEngine:
         source = _source(corpus)
         self.tvmc = source.tvmc
         self.first = source.first
-        slot = source.slot(config, stream_key)
-        self.index = slot.index
+        self.index = source.slot(config, stream_key).index
         self.stop = self.index.horizon  # the day length, plus delta when buffered
         # every widened window is tried before dropping an order
         self._widen = (1,) if config.delta == 0 else _WIDEN_FACTORS
         self._by_state = None
         if config.sampler != "direct" or config.duration_pool == "all_day":
-            self._by_state = slot.by_state
-            self._pool = source.all_day if config.duration_pool == "all_day" else slot.window
+            self._by_state = self.index.by_state
+            all_day = config.duration_pool == "all_day"
+            self._pool = source.all_day if all_day else self.index.window_pool
 
     def generate_many(self, rngs: Sequence[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
         """One sequence per stream, in order: ``(states, fallbacks)``.
@@ -886,7 +889,6 @@ class TvmcEngine:
     the following intervals.
     """
 
-    name = "tvmc"
     fallback_names = ("marginal",)
 
     def __init__(self, corpus: Corpus, config: SynthesisConfig, stream_key: int = 0):
@@ -978,16 +980,6 @@ def _resolve_assignment(
 _WORKER: dict = {}
 
 
-def _engine_for(cluster: int) -> object:
-    engines = _WORKER["engines"]
-    if cluster not in engines:
-        cls = _ENGINE_CLASSES[_WORKER["engine_name"]]
-        engines[cluster] = cls(
-            _WORKER["clusters"][cluster], _WORKER["config"], stream_key=cluster
-        )
-    return engines[cluster]
-
-
 # caps a tvmc block's pre-drawn uniforms at about 3 MB for 1440-interval days
 _BLOCK_ROWS = 256
 
@@ -1027,23 +1019,23 @@ def _check_batch_size(count: int, target_length: int) -> None:
 
 def _worker_chunk(ordinals: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(clusters, states, fallbacks) of the ordinals, one row each, in order."""
-    config = _WORKER["config"]
+    config, weights = _WORKER["config"], _WORKER["weights"]
+    cls = _ENGINE_CLASSES[_WORKER["engine_name"]]
     dtype = _WORKER["clusters"][0].alphabet.cell_dtype
-    names = _ENGINE_CLASSES[_WORKER["engine_name"]].fallback_names
     ords = list(ordinals)
     clusters = np.zeros(len(ords), dtype=np.int64)
     states = np.empty((len(ords), config.target_length), dtype=dtype)
-    fallbacks = np.empty((len(ords), len(names)), dtype=np.int64)
+    fallbacks = np.empty((len(ords), len(cls.fallback_names)), dtype=np.int64)
     for start in range(0, len(ords), _WINDOW_ROWS):
         rngs = [
             _stream(config.seed, _SEQUENCE_STREAM, o)
             for o in ords[start : start + _WINDOW_ROWS]
         ]
         drawn = clusters[start : start + len(rngs)]
-        if _WORKER["draw_cluster"]:
-            drawn[:] = _WORKER["weights"].choose(np.array([rng.random() for rng in rngs]))
+        if weights is not None:
+            drawn[:] = weights.choose(np.array([rng.random() for rng in rngs]))
         for cluster in np.unique(drawn).tolist():
-            engine = _engine_for(cluster)
+            engine = cls(_WORKER["clusters"][cluster], config, stream_key=cluster)
             rows = np.flatnonzero(drawn == cluster)
             for lo in range(0, rows.size, _BLOCK_ROWS):
                 block = rows[lo : lo + _BLOCK_ROWS]
@@ -1052,16 +1044,10 @@ def _worker_chunk(ordinals: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.n
     return clusters, states, fallbacks
 
 
-def _worker_init(clusters, config, engine_name, weights, draw_cluster) -> None:
+def _worker_init(clusters, config, engine_name, weights) -> None:
+    """``weights`` is None for a batch without a cluster assignment."""
     _WORKER.clear()
-    _WORKER.update(
-        clusters=clusters,
-        config=config,
-        engine_name=engine_name,
-        weights=weights,
-        draw_cluster=draw_cluster,
-        engines={},
-    )
+    _WORKER.update(clusters=clusters, config=config, engine_name=engine_name, weights=weights)
 
 
 def synthesize_batch(
@@ -1072,7 +1058,6 @@ def synthesize_batch(
     assignment=None,
     weights=None,
     workers: int = 1,
-    id_prefix: str = "synth",
 ) -> tuple[Corpus, BatchProvenance]:
     """Generate ``count`` sequences, optionally spread over clusters.
 
@@ -1093,8 +1078,7 @@ def synthesize_batch(
         if weights is not None:
             raise ConfigError("weights need a cluster assignment")
         clusters = [corpus]
-        cluster_weights = ClusterWeights(np.ones(1))
-        draw_cluster = False
+        cluster_weights = None
     else:
         clusters = _source(corpus).split(labels_vec)
         k = len(clusters)
@@ -1105,21 +1089,25 @@ def synthesize_batch(
         elif isinstance(weights, ClusterWeights):
             cluster_weights = weights
         else:
-            cluster_weights = ClusterWeights(np.asarray(weights, dtype=np.float64))
+            # a bad vector is a ConfigError here, as the same values in a config are
+            try:
+                cluster_weights = ClusterWeights(np.asarray(weights, dtype=np.float64))
+            except DataFormatError:
+                raise _weights_error(weights) from None
         if cluster_weights.k != k:
             raise ConfigError(
                 f"{cluster_weights.k} weights given for {k} clusters"
             )
-        draw_cluster = True
 
-    _worker_init(clusters, config, engine, cluster_weights, draw_cluster)
+    _worker_init(clusters, config, engine, cluster_weights)
     if workers == 1 or count == 0:
         chunk_results = [_worker_chunk(range(count))]
     else:
-        # build every engine before the pool starts so forked workers
-        # inherit them instead of rebuilding per process
-        for c in range(len(clusters)):
-            _engine_for(c)
+        # warm every cluster's source before the pool starts so forked
+        # workers inherit it instead of rebuilding it per process
+        cls = _ENGINE_CLASSES[engine]
+        for c, cluster in enumerate(clusters):
+            cls(cluster, config, stream_key=c)
         chunk_size = max(1, math.ceil(count / (workers * 4)))
         chunks = [
             range(lo, min(lo + chunk_size, count))
@@ -1131,7 +1119,7 @@ def synthesize_batch(
         except ValueError:
             ctx = multiprocessing.get_context("spawn")
             init = _worker_init
-            initargs = (clusters, config, engine, cluster_weights, draw_cluster)
+            initargs = (clusters, config, engine, cluster_weights)
         # a worker's full collection would otherwise visit, and so copy,
         # every object it inherits; a caller's own freeze is left alone
         thaw = gc.get_freeze_count() == 0
@@ -1150,13 +1138,13 @@ def synthesize_batch(
 
     # pool.map keeps chunk order, so the rows arrive in ordinal order
     drawn, states, fallbacks = (np.concatenate(part) for part in zip(*chunk_results))
-    ids = tuple(f"{id_prefix}-{ordinal:06d}" for ordinal in range(count))
+    ids = tuple(f"synth-{ordinal:06d}" for ordinal in range(count))
     out_corpus = Corpus(corpus.alphabet, states, ids, corpus.interval_minutes)
     batch = BatchProvenance(
         engine,
         config,
         count,
-        tuple(float(w) for w in cluster_weights.weights),
+        (1.0,) if cluster_weights is None else tuple(float(w) for w in cluster_weights.weights),
         ids,
         drawn,
         _ENGINE_CLASSES[engine].fallback_names,

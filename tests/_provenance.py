@@ -11,11 +11,11 @@ import json
 from seqsynth.synth import config_to_dict
 
 
-def oracle_provenance_json(engine, config, count, weights, drawn, id_prefix="synth"):
+def oracle_provenance_json(engine, config, count, weights, drawn):
     """JSON of a batch whose ordinal ``i`` drew ``drawn[i] = (cluster, fallbacks)``."""
     sequences = [
         {
-            "id": f"{id_prefix}-{ordinal:06d}",
+            "id": f"synth-{ordinal:06d}",
             "ordinal": ordinal,
             "cluster": int(cluster),
             "fallbacks": dict(fallbacks),

@@ -5,6 +5,10 @@
 that the current implementation must reproduce exactly: the same
 cluster ids and bit-identical heights, for both linkages, including
 the lexicographic tie-break that integer Hamming distances exercise.
+
+``oracle_hamming`` keeps the former ``pairwise_distance`` kernel, which
+rounded, symmetrised and zeroed the diagonal of the accumulated matches;
+the current kernel must give the same matrix bit for bit.
 """
 
 import numpy as np
@@ -57,6 +61,20 @@ def oracle_merges(values, linkage):
         ids[i] = n + step
 
     return tuple(merges)
+
+
+def oracle_hamming(corpus):
+    """The former Hamming kernel, with its rounding and symmetrising steps."""
+    mat = corpus.states_matrix
+    n, length = mat.shape
+    matches = np.zeros((n, n), dtype=np.float64)
+    for s in range(corpus.alphabet.size):
+        one_hot = (mat == s).astype(np.float32)
+        matches += (one_hot @ one_hot.T).astype(np.float64)
+    dist = np.rint(length - matches)
+    dist = (dist + dist.T) / 2.0
+    np.fill_diagonal(dist, 0.0)
+    return dist
 
 
 def assert_matches_oracle(dmat):
@@ -131,3 +149,9 @@ class TestMergeTreeOracle:
 
     def test_activity_ground_truth(self):
         assert_matches_oracle(pairwise_distance(activity_ground_truth(300, seed=3)))
+
+
+@pytest.mark.parametrize("n", [160, 1000])
+def test_hamming_kernel_matches_oracle(n):
+    corpus = activity_ground_truth(n, seed=n)
+    assert np.array_equal(pairwise_distance(corpus).values, oracle_hamming(corpus))

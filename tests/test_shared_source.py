@@ -150,6 +150,37 @@ def test_orders_share_one_index_and_buffer():
     assert synth._source(corpus)._slot.buffered is buffered
 
 
+def test_clustered_batch_builds_each_cluster_once(monkeypatch):
+    # engines are built per cluster block of every window; each must be a
+    # view of its cluster's source, not a rebuild of its fit or index
+    monkeypatch.setattr(synth, "_BLOCK_ROWS", 8)
+    monkeypatch.setattr(synth, "_WINDOW_ROWS", 20)
+    calls = {"build_index": 0, "fit": 0}
+    build_index, fit = synth.build_index, synth.TvmcModel.fit.__func__
+
+    def counted_build_index(*args, **kwargs):
+        calls["build_index"] += 1
+        return build_index(*args, **kwargs)
+
+    def counted_fit(cls, corpus):
+        calls["fit"] += 1
+        return fit(cls, corpus)
+
+    monkeypatch.setattr(synth, "build_index", counted_build_index)
+    monkeypatch.setattr(synth.TvmcModel, "fit", classmethod(counted_fit))
+    corpus = _corpus()
+    config = SynthesisConfig(delta=30, target_length=LENGTH, seed=4, sampler="kde")
+    k = 3
+    _, provenance = synthesize_batch(
+        corpus, config, 150, assignment=ClusterAssignment(np.arange(len(corpus)) % k)
+    )
+    assert sorted(set(provenance.clusters.tolist())) == list(range(k))
+    assert calls == {"build_index": k, "fit": k}
+    first, second = synth.PairedMcEngine(corpus, config), synth.PairedMcEngine(corpus, config)
+    assert first.index is second.index
+    assert first.index.by_state is second.index.by_state
+
+
 def test_source_is_freed_with_its_corpus():
     corpus = _corpus()
     synthesize_batch(

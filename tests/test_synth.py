@@ -638,6 +638,27 @@ class TestBatch:
         with pytest.raises(ConfigError, match="weights need a cluster assignment"):
             synthesize_batch(corpus, config, 2, weights=[0.7, 0.3])
 
+    @pytest.mark.parametrize(
+        "weights", [[0, 0], [1, -1], [math.nan, 1], [1, math.inf], [], [[1, 1]]]
+    )
+    def test_bad_weights_are_config_errors(self, weights):
+        # they once raised ClusterWeights' DataFormatError, unlike the same
+        # values in a config
+        corpus = activity_ground_truth(10, 60, seed=95)
+        labels = {sid: i % 2 for i, sid in enumerate(corpus.ids)}
+        config = SynthesisConfig(delta=10, target_length=60, seed=20)
+        with pytest.raises(ConfigError, match="weights must be a list of finite"):
+            synthesize_batch(corpus, config, 2, assignment=labels, weights=weights)
+
+    def test_integer_weight_array_accepted(self):
+        corpus = activity_ground_truth(10, 60, seed=95)
+        labels = {sid: i % 2 for i, sid in enumerate(corpus.ids)}
+        config = SynthesisConfig(delta=10, target_length=60, seed=20)
+        ints = synthesize_batch(corpus, config, 6, assignment=labels, weights=np.array([3, 1]))
+        floats = synthesize_batch(corpus, config, 6, assignment=labels, weights=[3.0, 1.0])
+        assert ints[0] == floats[0]
+        assert ints[1].to_dict() == floats[1].to_dict()
+
     def test_worker_count_is_bounded_before_any_pool(self, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was constructed")
