@@ -18,6 +18,13 @@ Two engines are provided:
   interval's state conditioned on the previous interval's state and the
   clock time; a block of sequences is walked in lockstep too.
 
+A clustered batch draws each sequence from one cluster's days.  The
+cluster is one more key of the source model: the baseline counts, the
+opening episodes, the duration pools and the index records all carry
+it, so one engine serves every cluster, and a block of consecutive
+ordinals advances in lockstep whatever its clusters, each row reading
+only its own cluster's statistics.
+
 Reproducibility contract: every output sequence is generated from an
 independent random stream derived from ``(config.seed, ordinal)``, so a
 batch is byte-identical for a given (corpus, config, count) regardless
@@ -232,64 +239,76 @@ def config_to_dict(
 class TvmcModel:
     """Empirical per-interval transition counts with daily wrap-around.
 
-    ``walk(start_states, t0, uniforms)`` advances every row in lockstep:
-    row i starts from ``start_states[i]`` at interval ``t0 - 1`` and
-    column k of ``uniforms`` draws its state at interval ``t0 + k``
-    given the state before it; ``t0`` is one time or one per row.  Times
-    at or past the sequence length reuse the statistics of ``t mod
+    ``fit(corpus, labels)`` counts each cluster's days apart: every array
+    has a leading cluster axis, of size 1 without labels.
+    ``walk(start_states, t0, uniforms, cluster)`` advances every row in
+    lockstep on its cluster's counts: row i starts from
+    ``start_states[i]`` at interval ``t0 - 1`` and column k of
+    ``uniforms`` draws its state at interval ``t0 + k`` given the state
+    before it; ``t0`` and ``cluster`` are one value or one per row.
+    Times at or past the sequence length reuse the statistics of ``t mod
     length``; the transition into interval 0 is estimated from the day
     wrap (last interval -> first interval).  When no transition was ever
     observed from a state at that time, the draw falls back to the
     marginal distribution of states observed at that interval, and the
-    fallbacks are counted per row.
+    fallbacks are counted per row.  States come back in the corpus cell
+    dtype.
     """
 
-    def __init__(self, trans_cum, first_cum, marginal_cum, length, n_states):
-        self.trans_cum = trans_cum
-        self.first_cum = first_cum
-        self.marginal_cum = marginal_cum
-        self.length = length
-        self.n_states = n_states
+    def __init__(self, trans_cum, first_cum, marginal_cum, dtype):
+        self.trans_cum = trans_cum  # (k, length, S, S)
+        self.first_cum = first_cum  # (k, S)
+        self.marginal_cum = marginal_cum  # (k, length, S)
+        self.n_clusters, self.length, self.n_states = marginal_cum.shape
+        self.dtype = dtype
+        # one row per (cluster, interval, previous state) and per (cluster, interval)
+        self._trans_rows = trans_cum.reshape(-1, self.n_states)
+        self._marginal_rows = marginal_cum.reshape(-1, self.n_states)
 
     @classmethod
-    def fit(cls, corpus: Corpus) -> "TvmcModel":
+    def fit(cls, corpus: Corpus, labels: np.ndarray | None = None) -> "TvmcModel":
         mat = corpus.states_matrix
-        n_seq, length = mat.shape
+        length = corpus.length
         n_states = corpus.alphabet.size
-        # flat cell index t*S*S + prev*S + cur, built in place in int64;
-        # prev[:, 0] wraps to the last interval
-        flat = np.roll(mat.astype(np.int64, copy=False), 1, axis=1)
+        k = _cluster_count(labels)
+        # flat cell index ((c*L + t)*S + prev)*S + cur, built in place in
+        # one int64 matrix; prev[:, 0] wraps to the last interval
+        flat = np.roll(mat, 1, axis=1).astype(np.int64)
         flat *= n_states
         flat += mat
         flat += np.arange(length) * (n_states * n_states)
+        first = mat[:, 0].astype(np.int64)
+        if labels is not None:
+            flat += (labels * (length * n_states * n_states))[:, None]
+            first += labels * n_states
         counts = np.bincount(
-            flat.ravel(), minlength=length * n_states * n_states
-        ).reshape(length, n_states, n_states)
-        marginal = counts.sum(axis=1)  # distribution of states at interval t
-        first = np.bincount(mat[:, 0], minlength=n_states)
-        return cls(
-            counts.cumsum(axis=2),
-            first.cumsum(),
-            marginal.cumsum(axis=1),
-            length,
-            n_states,
-        )
+            flat.ravel(), minlength=k * length * n_states * n_states
+        ).reshape(k, length, n_states, n_states)
+        del flat
+        marginal = counts.sum(axis=2)  # distribution of states at interval t
+        # the cumulative sums overwrite the counts: one table at the peak
+        np.cumsum(counts, axis=3, out=counts)
+        np.cumsum(marginal, axis=2, out=marginal)
+        first = np.bincount(first, minlength=k * n_states).reshape(k, n_states)
+        return cls(counts, first.cumsum(axis=1), marginal, corpus.alphabet.cell_dtype)
 
     def walk(
-        self, start_states: np.ndarray, t0, uniforms: np.ndarray
+        self, start_states: np.ndarray, t0, uniforms: np.ndarray, cluster=0
     ) -> tuple[np.ndarray, np.ndarray]:
         """States at ``t0 .. t0 + n_steps - 1`` and per-row fallback counts."""
         n_rows, n_steps = uniforms.shape
-        states = np.empty((n_rows, n_steps), dtype=np.int64)
+        states = np.empty((n_rows, n_steps), dtype=self.dtype)
         fallbacks = np.zeros(n_rows, dtype=np.int64)
         cur = np.asarray(start_states, dtype=np.int64)
+        base = np.asarray(cluster, dtype=np.int64) * self.length
         for k in range(n_steps):
-            t = (t0 + k) % self.length
-            rows = self.trans_cum[t, cur]  # fancy indexing copies
+            at = base + (t0 + k) % self.length  # c*L + t
+            rows = self._trans_rows[at * self.n_states + cur]  # fancy indexing copies
             totals = rows[:, -1]
             missing = totals == 0
             if missing.any():
-                rows[missing] = np.broadcast_to(self.marginal_cum[t], rows.shape)[missing]
+                marginal = np.broadcast_to(self._marginal_rows[at], rows.shape)
+                rows[missing] = marginal[missing]
                 totals = rows[:, -1]
                 fallbacks += missing
             # count of cumulative cells <= u*total == searchsorted(..., 'right')
@@ -301,34 +320,51 @@ class TvmcModel:
 class FirstEpisodeTable:
     """Empirical (state, duration) distribution of sequence-opening episodes.
 
-    The opening durations of state s are ``durations[bounds[s]:bounds[s + 1]]``,
-    in row order.
+    With ``labels``, each cluster has its own distribution.  The opening
+    durations of state s in cluster c are ``durations[bounds[g]:bounds[g + 1]]``
+    with ``g = c * n_states + s``, in row order.
     """
 
-    def __init__(self, corpus: Corpus):
+    def __init__(self, corpus: Corpus, labels: np.ndarray | None = None):
         _, starts, states, durations = episode_table(corpus.states_matrix)
-        first = starts == 0
-        self.durations, self.bounds = _group_by_state(
-            states[first], durations[first], corpus.alphabet.size
-        )
+        first = starts == 0  # one per row, in row order
+        self.n_states = corpus.alphabet.size
+        k = _cluster_count(labels)
+        groups = states[first] if labels is None else labels * self.n_states + states[first]
+        self.durations, self.bounds = _grouped(groups, durations[first], k * self.n_states)
 
-    def draw(self, u_state: np.ndarray, u_pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def draw(
+        self, u_state: np.ndarray, u_pos: np.ndarray, cluster=0
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Opening states drawn by frequency, then a duration of each state.
 
         Row i reads ``u_state[i]`` for its state and ``u_pos[i]`` for a
-        position among that state's opening durations.
+        position among that state's opening durations, both in cluster
+        ``cluster`` (one or one per row).
         """
-        bounds = self.bounds
-        state = np.searchsorted(bounds[1:], u_state * bounds[-1], side="right")
-        start = bounds[state]
-        return state, self.durations[start + _pick(u_pos, bounds[state + 1] - start)]
+        bounds, group = self.bounds, np.asarray(cluster) * self.n_states
+        # an integer bound b is at most u * total exactly when it is at most
+        # floor(u * total), so the cluster's offset goes on the integer floor;
+        # added to the float product it could round across a bound
+        base = bounds[group]
+        group = np.searchsorted(
+            bounds[1:], base + _pick(u_state, bounds[group + self.n_states] - base), side="right"
+        )
+        start = bounds[group]
+        pos = start + _pick(u_pos, bounds[group + 1] - start)
+        return group % self.n_states, self.durations[pos]
 
 
-def _group_by_state(states, durations, n_states) -> tuple[np.ndarray, np.ndarray]:
-    """``durations`` grouped by state, keeping their order, and each group's bounds."""
-    counts = np.bincount(states, minlength=n_states)
+def _cluster_count(labels: np.ndarray | None) -> int:
+    """Clusters ``0 .. labels.max()`` of a label vector; one without labels."""
+    return 1 if labels is None else int(labels.max()) + 1
+
+
+def _grouped(groups, values, n_groups) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` grouped by ``groups``, keeping their order, and each group's bounds."""
+    counts = np.bincount(groups, minlength=n_groups)
     bounds = np.concatenate(([0], counts.cumsum()))
-    return durations[np.argsort(states, kind="stable")], bounds
+    return values[np.argsort(groups, kind="stable")], bounds
 
 
 def _pick(u: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -356,15 +392,18 @@ _EMPTY_CANDIDATES = Candidates(
 )
 
 
-def _context_key(n_states: int, horizon: int, a_c, context, m) -> np.ndarray:
-    """``key * horizon`` of each order-``m`` context (a_c, context[:m-1]).
+def _context_key(n_states: int, horizon: int, n_clusters: int, a_c, context, m, cluster=0):
+    """``key * horizon`` of each order-``m`` context (a_c, context[:m-1]) in ``cluster``.
 
     ``context`` rows list the preceding states, most recent first; entries
-    past ``m - 1`` are ignored.  Keys of different orders never collide.
+    past ``m - 1`` are ignored.  Keys run order first, then cluster, then
+    context, so the keys of one order fill one range and never collide
+    with another order's or another cluster's.
     """
     m = np.asarray(m)
-    offsets = np.cumsum([0] + [n_states**j for j in range(1, MAX_ORDER)])
-    key = offsets[m - 1] + a_c
+    sizes = n_states ** np.arange(1, MAX_ORDER + 1)  # contexts of each order
+    firsts = n_clusters * np.concatenate(([0], np.cumsum(sizes[:-1])))
+    key = firsts[m - 1] + cluster * sizes[m - 1] + a_c
     weight = n_states
     for j in range(context.shape[1]):
         key = key + np.where(m > j + 1, context[:, j] * weight, 0)
@@ -373,21 +412,25 @@ def _context_key(n_states: int, horizon: int, a_c, context, m) -> np.ndarray:
 
 
 class CandidateIndex:
-    """Observed transitions keyed by their full preceding context.
+    """Observed transitions keyed by their cluster and full preceding context.
 
     One record exists per episode that has a predecessor: its state and
     duration.  For each order m up to ``order``, every record with at
-    least m predecessors is listed under the key (prev1, ..., prevm),
-    sorted by (key, start) with ties in row-major order.  All orders share
-    one sorted int64 array of ``key * horizon + start``, so the windows of
-    any number of queries are two vectorized binary searches, each giving
-    a contiguous range ``[lo, hi)`` of ``records``.
+    least m predecessors is listed under the key (cluster, prev1, ...,
+    prevm), sorted by (key, start) with ties in row-major order; the
+    cluster is the record's row's, 0 without labels.  All orders share
+    one sorted int64 array of ``key * horizon + start``, in which each
+    order's keys are one run, so the windows of any number of queries are
+    two vectorized binary searches, each giving a contiguous range
+    ``[lo, hi)`` of ``records``.
 
     The by-state pools of the two-stage draws, ``by_state`` and
     ``window_pool``, are built on first use and live as long as the index.
     """
 
-    def __init__(self, keys, records, states, durations, n_states, horizon, delta, order):
+    def __init__(
+        self, keys, records, states, durations, n_states, horizon, delta, order, n_clusters=1
+    ):
         self.keys = keys
         self.records = records
         self.states = states
@@ -396,6 +439,7 @@ class CandidateIndex:
         self.horizon = horizon
         self.delta = delta
         self.order = order
+        self.n_clusters = n_clusters
 
     @property
     def n_records(self) -> int:
@@ -415,8 +459,10 @@ class CandidateIndex:
         """Record durations in ``by_state`` order."""
         return _Pool(self.durations[self.records[self.by_state % self.records.size]])
 
-    def context_key(self, a_c, context, m) -> np.ndarray:
-        return _context_key(self.n_states, self.horizon, a_c, context, m)
+    def context_key(self, a_c, context, m, cluster=0) -> np.ndarray:
+        return _context_key(
+            self.n_states, self.horizon, self.n_clusters, a_c, context, m, cluster
+        )
 
     def window(self, key, t, half_width) -> tuple[np.ndarray, np.ndarray]:
         """``[lo, hi)`` of the records under ``key`` with |start - t| <= half_width.
@@ -438,8 +484,9 @@ class CandidateIndex:
         t_c: int = 0,
         delta: int | None = None,
         order: int = 1,
+        cluster: int = 0,
     ) -> Candidates:
-        """All records with |start - t_c| <= delta whose predecessors match.
+        """All records of ``cluster`` with |start - t_c| <= delta whose predecessors match.
 
         ``context`` lists the states before the current one, most recent
         first; order k uses up to k-1 of them.  Records that do not have
@@ -450,6 +497,8 @@ class CandidateIndex:
             raise ConfigError(f"order must be in [1, {MAX_ORDER}]")
         if any(int(c) < 0 for c in context):
             raise ConfigError("context states must be non-negative")
+        if not 0 <= cluster < self.n_clusters:
+            raise ConfigError(f"cluster must be in [0, {self.n_clusters}), got {cluster}")
         m = min(order, 1 + len(context))
         if m > self.order:
             raise ConfigError(f"index holds contexts up to order {self.order}")
@@ -457,36 +506,54 @@ class CandidateIndex:
         # a state outside the alphabet has no records (and would alias a key)
         if not all(0 <= s < self.n_states for s in [int(a_c)] + ctx):
             return _EMPTY_CANDIDATES
-        key = self.context_key(np.array([a_c]), np.array([ctx], dtype=np.int64), m)
+        key = self.context_key(np.array([a_c]), np.array([ctx], dtype=np.int64), m, cluster)
         lo, hi = self.window(key, t_c, self.delta if delta is None else delta)
         recs = self.records[lo[0] : hi[0]]
         return Candidates(self.states[recs], self.durations[recs])
 
 
-def build_index(corpus: Corpus, delta: int, order: int = MAX_ORDER) -> CandidateIndex:
-    """Index every transition in the corpus for windowed lookup up to ``order``."""
+def build_index(
+    corpus: Corpus,
+    delta: int,
+    order: int = MAX_ORDER,
+    labels: np.ndarray | None = None,
+    base: CandidateIndex | None = None,
+) -> CandidateIndex:
+    """Index every transition in the corpus for windowed lookup up to ``order``.
+
+    With ``labels``, each record is keyed by its row's cluster too, so a
+    query sees its own cluster's records only.  ``base``, an index of the
+    same corpus and labels at a lower order, keeps its runs: only the
+    runs of the orders above it are built and appended.
+    """
     if len(corpus) == 0:
         raise DataFormatError("cannot index an empty corpus")
     n_states, horizon = corpus.alphabet.size, corpus.length
-    if sum(n_states**m for m in range(1, order + 1)) * horizon >= 2**63:
-        raise DataFormatError(f"{n_states} states are too many to index at order {order}")
+    k = _cluster_count(labels)
+    if k * sum(n_states**m for m in range(1, order + 1)) * horizon >= 2**63:
+        raise DataFormatError(
+            f"{n_states} states in {k} cluster(s) are too many to index at order {order}"
+        )
     rows, ep_starts, ep_states, ep_durs = episode_table(corpus.states_matrix)
 
-    def earlier(k: int) -> np.ndarray:
-        """State of the episode k before each one in its row, else -1."""
+    def earlier(j: int) -> np.ndarray:
+        """State of the episode j before each one in its row, else -1."""
         out = np.full(ep_states.size, -1, dtype=np.int64)
-        same_row = rows[k:] == rows[:-k]
-        out[k:][same_row] = ep_states[:-k][same_row]
+        same_row = rows[j:] == rows[:-j]
+        out[j:][same_row] = ep_states[:-j][same_row]
         return out
 
     # one record per episode that has a predecessor, in row-major order
     records = np.flatnonzero(ep_starts > 0)
-    prev = np.stack([earlier(k)[records] for k in range(1, order + 1)], axis=1)
+    prev = np.stack([earlier(j)[records] for j in range(1, order + 1)], axis=1)
     starts = ep_starts[records]
-    keys, perms = [], []
-    for m in range(1, order + 1):
+    cluster = np.zeros(records.size, dtype=np.int64) if labels is None else labels[rows[records]]
+    keys, perms = ([], []) if base is None else ([base.keys], [base.records])
+    for m in range(1 if base is None else base.order + 1, order + 1):
         has = np.flatnonzero(prev[:, m - 1] >= 0)
-        key = _context_key(n_states, horizon, prev[has, 0], prev[has, 1:], m) + starts[has]
+        key = _context_key(
+            n_states, horizon, k, prev[has, 0], prev[has, 1:], m, cluster[has]
+        ) + starts[has]
         # the stable sort keeps ties in row-major order
         by_key = np.argsort(key, kind="stable")
         keys.append(key[by_key])
@@ -500,6 +567,7 @@ def build_index(corpus: Corpus, delta: int, order: int = MAX_ORDER) -> Candidate
         horizon,
         delta,
         order,
+        k,
     )
 
 
@@ -519,32 +587,43 @@ def silverman_bandwidth(values: np.ndarray) -> float:
 
 
 def extend_with_buffer(
-    corpus: Corpus, model: TvmcModel, delta: int, rng: np.random.Generator
+    corpus: Corpus, model: TvmcModel, delta: int, rng, labels: np.ndarray | None = None
 ) -> Corpus:
     """Continue every sequence for ``delta`` intervals with baseline steps.
 
-    ``model`` is the baseline fitted to ``corpus``.  Transition
-    statistics for times past the end of the day wrap around (interval
-    ``t`` reuses the statistics of ``t mod length``).  The original
-    prefix of each sequence is unchanged; sequence i walks on the i-th
-    row of one uniform draw.
+    ``model`` is the baseline fitted to ``corpus`` (and ``labels``).
+    Transition statistics for times past the end of the day wrap around
+    (interval ``t`` reuses the statistics of ``t mod length``).  The
+    original prefix of each sequence is unchanged.  Without labels,
+    ``rng`` is one stream and sequence i walks on the i-th row of one
+    uniform draw; with labels, ``rng`` holds one stream per cluster, and
+    the sequences of cluster c, in corpus order, walk on the rows of one
+    draw of ``rng[c]``.
     """
     if delta == 0:
         return corpus
     mat = corpus.states_matrix
-    ext, _ = model.walk(mat[:, -1], corpus.length, rng.random((len(corpus), delta)))
-    return replace(corpus, states_matrix=np.hstack((mat, ext.astype(mat.dtype))))
+    if labels is None:
+        uniforms = rng.random((len(corpus), delta))
+    else:
+        uniforms = np.empty((len(corpus), delta))
+        sizes = np.bincount(labels, minlength=len(rng)).tolist()
+        uniforms[np.argsort(labels, kind="stable")] = np.concatenate(
+            [stream.random((size, delta)) for stream, size in zip(rng, sizes)]
+        )
+    ext, _ = model.walk(mat[:, -1], corpus.length, uniforms, 0 if labels is None else labels)
+    return replace(corpus, states_matrix=np.hstack((mat, ext)))
 
 
 class _Pool:
     """Durations laid out so that every duration pool is one slice of ``values``.
 
-    With ``bounds``, the all_day pool of state s is
-    ``values[bounds[s]:bounds[s + 1]]``; without, a state's window pool is
-    its slice of the index durations in by-state order.  Silverman's
-    bandwidth of a slice is a function of the slice alone, so it is
-    computed once per ``(start, size)``; the memo gains at most one entry
-    per kde draw.
+    With ``bounds``, the all_day pool of state s in cluster c is
+    ``values[bounds[g]:bounds[g + 1]]`` with ``g = c * n_states + s``;
+    without, a state's window pool is its slice of the index durations in
+    by-state order.  Silverman's bandwidth of a slice is a function of the
+    slice alone, so it is computed once per ``(start, size)``; the memo
+    gains at most one entry per kde draw.
     """
 
     def __init__(self, values: np.ndarray, bounds: np.ndarray | None = None):
@@ -572,88 +651,109 @@ class _Slot(NamedTuple):
 class _Source:
     """The source-side model of one corpus, shared by every engine over it.
 
-    :func:`_source` keeps one per corpus object, and each part is built
-    the first time an engine asks for it (an engine is only a view of
-    these parts, so a batch builds one for each cluster block it runs):
+    :func:`_source` keeps one per corpus object.  Every part is built for
+    the source's current cluster labels (one cluster without labels), the
+    first time an engine asks for it, and keys its counts, episodes and
+    records by cluster; an engine is only a view of these parts:
 
     * the fitted :class:`TvmcModel`, the :class:`FirstEpisodeTable` and
       the all_day duration pool;
-    * the cluster split: the sub-corpora of the latest assignment vector,
-      each with a source of its own;
-    * one slot: the buffered corpus of one ``(delta, seed, stream_key)``
-      (``delta`` alone without a buffer) and its :class:`CandidateIndex`,
-      built at the highest order asked for so far.  Each order's keys are
-      their own sorted run, so a lower order finds the same ``[lo, hi)``
-      and records in a higher-order index.  A higher order rebuilds the
-      index over the same buffered corpus; another key replaces the slot.
-      The index keeps its own by-state pools, so they go with it.
+    * one slot: the buffered corpus of one ``(delta, seed)`` (``delta``
+      alone without a buffer) and its :class:`CandidateIndex`, built at
+      the highest order asked for so far.  Each order's keys are their
+      own sorted run, so a lower order finds the same ``[lo, hi)`` and
+      records in a higher-order index, and a higher order appends its
+      runs to the index over the same buffered corpus.  Another key
+      replaces the slot.  The index keeps its own by-state pools, so they
+      go with it.
 
-    This is sound because a ``Corpus`` is frozen and owns a read-only
-    matrix.  The source holds only a weak reference to its corpus, which
-    holds the source, so the two are freed together.  Memory: the model,
-    table, pool and split live as long as the corpus.  The slot outlives
-    the batch that built it, so between batches memory holds at most one
-    buffered corpus and index per source beyond what a fresh build
-    holds; the old slot is released before its successor is built, so
-    a build's peak does not grow.
+    New labels drop every part.  This is sound because a ``Corpus`` is
+    frozen and owns a read-only matrix.  The source holds only a weak
+    reference to its corpus, which holds the source, so the two are
+    freed together.  Memory: the model, table and pool live as long as
+    the corpus and its labels.  The slot outlives the batch that built
+    it, so between batches memory holds at most one buffered corpus and
+    index per corpus beyond what a fresh build holds, whatever the
+    number of clusters.  A replaced slot is released before its
+    successor is built, and an extended index holds only the lower
+    orders' runs that its successor copies, so a build's peak does not
+    grow.
     """
 
     def __init__(self, corpus: Corpus):
         self._corpus = weakref.ref(corpus)
-        self._split: tuple[np.ndarray, list[Corpus]] | None = None
+        self.labels: np.ndarray | None = None
+        self.n_clusters = 1
         self._slot: _Slot | None = None
+
+    def assign(self, labels) -> None:
+        """Make ``labels`` (None for one cluster) the labels of every part."""
+        if np.array_equal(self.labels, labels):  # also when both are None
+            return
+        if labels is not None:
+            if len(labels) != len(self._corpus()):
+                raise DataFormatError("cluster labels do not match the corpus size")
+            labels = ClusterAssignment(labels).labels
+        for part in ("tvmc", "first", "all_day"):
+            self.__dict__.pop(part, None)
+        self._slot = None
+        self.labels = labels
+        self.n_clusters = _cluster_count(labels)
 
     @cached_property
     def tvmc(self) -> TvmcModel:
-        return TvmcModel.fit(self._corpus())
+        return TvmcModel.fit(self._corpus(), self.labels)
 
     @cached_property
     def first(self) -> FirstEpisodeTable:
-        return FirstEpisodeTable(self._corpus())
+        return FirstEpisodeTable(self._corpus(), self.labels)
 
     @cached_property
     def all_day(self) -> _Pool:
         corpus = self._corpus()
-        _, _, states, durations = episode_table(corpus.states_matrix)
-        return _Pool(*_group_by_state(states, durations, corpus.alphabet.size))
+        n_states = corpus.alphabet.size
+        rows, _, states, durations = episode_table(corpus.states_matrix)
+        groups = states if self.labels is None else self.labels[rows] * n_states + states
+        return _Pool(*_grouped(groups, durations, self.n_clusters * n_states))
 
-    def split(self, labels: np.ndarray) -> list[Corpus]:
-        """The sub-corpus of each cluster ``0 .. labels.max()``, in order."""
-        if self._split is None or not np.array_equal(self._split[0], labels):
-            corpus = self._corpus()
-            k = int(labels.max()) + 1
-            subsets = [corpus.subset(np.flatnonzero(labels == c)) for c in range(k)]
-            self._split = (labels.copy(), subsets)
-        return self._split[1]
-
-    def slot(self, config: SynthesisConfig, stream_key: int) -> _Slot:
+    def slot(self, config: SynthesisConfig) -> _Slot:
         """The slot for ``config``'s buffer, indexed up to at least its order."""
         buffered = config.buffer == "tvmc" and config.delta > 0
-        key = (config.delta, config.seed, stream_key) if buffered else (config.delta,)
+        key = (config.delta, config.seed) if buffered else (config.delta,)
         slot, self._slot = self._slot, None
-        if slot is not None and slot.key == key and slot.index.order >= config.order:
-            self._slot = slot
-            return slot
-        ext = slot.buffered if slot is not None and slot.key == key else None
-        del slot  # the old index goes before the new one is built
+        ext = base = None
+        if slot is not None and slot.key == key:
+            if slot.index.order >= config.order:
+                self._slot = slot
+                return slot
+            ext, base = slot.buffered, slot.index
+        del slot  # a replaced index goes before the new one is built
+        corpus = self._corpus()
         if buffered and ext is None:
+            streams = [
+                _stream(config.seed, _BUFFER_STREAM, c) for c in range(self.n_clusters)
+            ]
             ext = extend_with_buffer(
-                self._corpus(),
+                corpus,
                 self.tvmc,
                 config.delta,
-                _stream(config.seed, _BUFFER_STREAM, stream_key),
+                streams[0] if self.labels is None else streams,
+                self.labels,
             )
-        index = build_index(self._corpus() if ext is None else ext, config.delta, config.order)
+        index = build_index(
+            corpus if ext is None else ext, config.delta, config.order, self.labels, base
+        )
         self._slot = _Slot(key, ext, index)
         return self._slot
 
 
-def _source(corpus: Corpus) -> _Source:
-    """The shared source model of ``corpus``, created on first use."""
+def _source(corpus: Corpus, labels=None) -> _Source:
+    """The shared source model of ``corpus`` for ``labels``, created on first use."""
     source = corpus.__dict__.get("_synth_source")
     if source is None:
         source = _Source(corpus)
         object.__setattr__(corpus, "_synth_source", source)
+    source.assign(labels)
     return source
 
 
@@ -706,37 +806,51 @@ def _check_engine_inputs(corpus: Corpus, config: SynthesisConfig) -> None:
         )
 
 
+def _row_clusters(n_rows: int, clusters, n_clusters: int) -> np.ndarray:
+    """The cluster of each of ``n_rows`` rows; None puts every row in cluster 0."""
+    if clusters is None:
+        return np.zeros(n_rows, dtype=np.int64)
+    clusters = np.asarray(clusters, dtype=np.int64)
+    if clusters.shape != (n_rows,) or not (
+        n_rows == 0 or 0 <= clusters.min() <= clusters.max() < n_clusters
+    ):
+        raise ConfigError(f"clusters must give one cluster in [0, {n_clusters}) per stream")
+    return clusters
+
+
 class PairedMcEngine:
     """Windowed episode-resampling generator built from one corpus.
 
     The engine is a view of the corpus's shared source model
-    (:class:`_Source`): the per-interval baseline used by the buffer and
-    the fallback ladder, the opening-episode table, and the index of
-    every observed transition of the buffered corpus up to (at least)
-    the configured order.
+    (:class:`_Source`) for ``labels`` (one cluster without): the
+    per-interval baseline used by the buffer and the fallback ladder, the
+    opening-episode table, and the index of every observed transition of
+    the buffered corpus up to (at least) the configured order, each keyed
+    by cluster.
 
     ``generate_many`` advances the sequences of a batch of independent
-    random streams in lockstep.  Each step runs one pass of the fallback
-    ladder (order k down to 1, each order through the widened windows)
-    over the unfinished sequences, then draws for all of them in one
-    array step: a uniform record of its candidate range (direct sampler,
-    windowed durations), a state by its multiplicity and then a duration
-    for it otherwise, or one baseline interval when no rung has a
-    candidate.  A sequence's k-th draw reads the k-th double of its own
-    stream, so its output depends only on that stream, never on the rest
-    of the batch, the block size or the buffer width.
+    random streams in lockstep, whatever their clusters.  Each step runs
+    one pass of the fallback ladder (order k down to 1, each order
+    through the widened windows) over the unfinished sequences, then
+    draws for all of them in one array step: a uniform record of its
+    candidate range (direct sampler, windowed durations), a state by its
+    multiplicity and then a duration for it otherwise, or one baseline
+    interval when no rung has a candidate.  A sequence reads only its own
+    cluster's statistics, and its k-th draw reads the k-th double of its
+    own stream, so its output depends only on that stream and cluster,
+    never on the rest of the batch, the block size or the buffer width.
     """
 
     fallback_names = _FALLBACKS
 
-    def __init__(self, corpus: Corpus, config: SynthesisConfig, stream_key: int = 0):
+    def __init__(self, corpus: Corpus, config: SynthesisConfig, labels=None):
         _check_engine_inputs(corpus, config)
         self.config = config
         self.n = corpus.length
-        source = _source(corpus)
+        source = _source(corpus, labels)
         self.tvmc = source.tvmc
         self.first = source.first
-        self.index = source.slot(config, stream_key).index
+        self.index = source.slot(config).index
         self.stop = self.index.horizon  # the day length, plus delta when buffered
         # every widened window is tried before dropping an order
         self._widen = (1,) if config.delta == 0 else _WIDEN_FACTORS
@@ -746,18 +860,23 @@ class PairedMcEngine:
             all_day = config.duration_pool == "all_day"
             self._pool = source.all_day if all_day else self.index.window_pool
 
-    def generate_many(self, rngs: Sequence[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
+    def generate_many(
+        self, rngs: Sequence[np.random.Generator], clusters=None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """One sequence per stream, in order: ``(states, fallbacks)``.
 
-        ``states`` is ``(len(rngs), target_length)``; ``fallbacks`` counts
-        each row's fallbacks in the columns named by ``fallback_names``.
-        Each stream is left just past the doubles its sequence used.
+        Row i is drawn from cluster ``clusters[i]`` (0 for every row when
+        None).  ``states`` is ``(len(rngs), target_length)`` in the corpus
+        cell dtype; ``fallbacks`` counts each row's fallbacks in the
+        columns named by ``fallback_names``.  Each stream is left just
+        past the doubles its sequence used.
         """
         index = self.index
         uniforms = _Uniforms(rngs)
         n_rows = uniforms.n_rows
+        cluster = _row_clusters(n_rows, clusters, self.tvmc.n_clusters)
         every = np.arange(n_rows)
-        cur, end = self.first.draw(uniforms.take(every), uniforms.take(every))
+        cur, end = self.first.draw(uniforms.take(every), uniforms.take(every), cluster)
         episodes = [(every, cur.copy(), np.zeros(n_rows, dtype=np.int64))]
         # preceding states, most recent first; depth counts the episodes before
         context = np.zeros((n_rows, MAX_ORDER - 1), dtype=np.int64)
@@ -766,7 +885,9 @@ class PairedMcEngine:
 
         live = np.flatnonzero(end < self.stop)
         while live.size:
-            lo, hi, rung = self._ladder(cur[live], context[live], depth[live], end[live])
+            lo, hi, rung = self._ladder(
+                cur[live], context[live], depth[live], end[live], cluster[live]
+            )
             counted = rung >= 0
             fallbacks[live[counted], rung[counted]] += 1
             found = hi > lo
@@ -781,14 +902,14 @@ class PairedMcEngine:
                 nxt[hits], dur[hits] = index.states[recs], index.durations[recs]
             else:
                 nxt[hits], dur[hits] = self._two_stage(
-                    uniforms, live[hits], lo[hits], hi[hits]
+                    uniforms, live[hits], lo[hits], hi[hits], cluster[live[hits]]
                 )
             miss = np.flatnonzero(~found)
             if miss.size:
                 # final resort: a single baseline interval, then resume
                 rows = live[miss]
                 u = uniforms.take(rows)[:, None]
-                nxt[miss] = self.tvmc.walk(cur[rows], end[rows], u)[0][:, 0]
+                nxt[miss] = self.tvmc.walk(cur[rows], end[rows], u, cluster[rows])[0][:, 0]
 
             # a baseline step that keeps the state lengthens the episode
             grow = live[~found & (nxt == cur[live])]
@@ -811,19 +932,21 @@ class PairedMcEngine:
         by_row = np.argsort(rows, kind="stable")
         flat = rows[by_row] * self.n + np.minimum(starts[by_row], self.n)
         durations = np.diff(flat, append=n_rows * self.n)
-        return np.repeat(states[by_row], durations).reshape(n_rows, self.n), fallbacks
+        states = states[by_row].astype(self.tvmc.dtype)
+        return np.repeat(states, durations).reshape(n_rows, self.n), fallbacks
 
-    def _two_stage(self, uniforms, rows, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    def _two_stage(self, uniforms, rows, lo, hi, cluster) -> tuple[np.ndarray, np.ndarray]:
         """A state by its multiplicity in each ``[lo, hi)``, then its duration.
 
         Row i draws from the next doubles of ``rows[i]``: one for the state,
         one for a position in that state's duration pool, then two for the
         kde noise when the bandwidth is positive.  A window pool is the
         state's records in ``[lo, hi)`` in index order; the all_day pool is
-        every episode of the state.
+        every episode of the state in the row's cluster.
         """
+        n_states = self.index.n_states
         span = self.index.records.size
-        base = np.arange(self.index.n_states) * span
+        base = np.arange(n_states) * span
         first = np.searchsorted(self._by_state, base + lo[:, None])
         counts = np.searchsorted(self._by_state, base + hi[:, None]) - first
         cum = counts.cumsum(axis=1)
@@ -835,7 +958,8 @@ class PairedMcEngine:
             row = np.arange(state.size)
             start, size = first[row, state], counts[row, state]
         else:
-            start, size = pool.bounds[state], pool.bounds[state + 1] - pool.bounds[state]
+            group = cluster * n_states + state
+            start, size = pool.bounds[group], pool.bounds[group + 1] - pool.bounds[group]
         dur = pool.values[start + _pick(uniforms.take(rows), size)]
         if self.config.sampler == "kde":
             if self.config.kde_bandwidth is None:
@@ -850,13 +974,14 @@ class PairedMcEngine:
             dur = np.maximum(dur, 1)
         return state, dur
 
-    def _ladder(self, cur, context, depth, t):
+    def _ladder(self, cur, context, depth, t, cluster):
         """Candidate range ``[lo, hi)`` of each query from its first rung that has one.
 
         Rungs run from the configured order down to 1, each order through
-        the widened windows.  ``rung`` is the fallback column the hit
-        counts under (-1 for the first rung); ``hi == lo`` leaves the
-        query to the baseline step, counted as ``tvmc_steps``.
+        the widened windows; every query reads its own cluster's records.
+        ``rung`` is the fallback column the hit counts under (-1 for the
+        first rung); ``hi == lo`` leaves the query to the baseline step,
+        counted as ``tvmc_steps``.
         """
         order, delta = self.config.order, self.config.delta
         lo = np.zeros(cur.size, dtype=np.int64)
@@ -868,7 +993,7 @@ class PairedMcEngine:
                 break
             # a context shorter than k - 1 states is matched at its own order
             m = np.minimum(k, depth[todo] + 1)
-            key = self.index.context_key(cur[todo], context[todo], m)
+            key = self.index.context_key(cur[todo], context[todo], m, cluster[todo])
             for w in self._widen:
                 first, last = self.index.window(key, t[todo], delta * w)
                 hit = last > first
@@ -884,28 +1009,32 @@ class PairedMcEngine:
 class TvmcEngine:
     """Per-interval baseline generator (time-varying Markov chain).
 
-    A batch of streams is walked in lockstep: each stream supplies one
-    uniform row, whose first value draws the opening state and the rest
-    the following intervals.
+    A batch of streams is walked in lockstep, each on its cluster's
+    counts: each stream supplies one uniform row, whose first value draws
+    the opening state and the rest the following intervals.
     """
 
     fallback_names = ("marginal",)
 
-    def __init__(self, corpus: Corpus, config: SynthesisConfig, stream_key: int = 0):
+    def __init__(self, corpus: Corpus, config: SynthesisConfig, labels=None):
         _check_engine_inputs(corpus, config)
         self.config = config
         self.n = corpus.length
-        self.model = _source(corpus).tvmc
+        self.model = _source(corpus, labels).tvmc
 
-    def generate_many(self, rngs: Sequence[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
+    def generate_many(
+        self, rngs: Sequence[np.random.Generator], clusters=None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """One sequence per stream, in order: ``(states, fallbacks)``, as for paired-mc."""
+        cluster = _row_clusters(len(rngs), clusters, self.model.n_clusters)
         u = np.empty((len(rngs), self.n))
         for row, rng in zip(u, rngs):
             rng.random(out=row)
-        first = self.model.first_cum
-        states = np.empty_like(u, dtype=np.int64)
-        states[:, 0] = np.searchsorted(first, u[:, 0] * first[-1], side="right")
-        states[:, 1:], fallbacks = self.model.walk(states[:, 0], 1, u[:, 1:])
+        first = self.model.first_cum[cluster]
+        states = np.empty(u.shape, dtype=self.model.dtype)
+        # count of cumulative counts <= u*total == searchsorted(..., 'right')
+        states[:, 0] = (first <= (u[:, 0] * first[:, -1])[:, None]).sum(axis=1)
+        states[:, 1:], fallbacks = self.model.walk(states[:, 0], 1, u[:, 1:], cluster)
         return states, fallbacks[:, None]
 
 
@@ -980,11 +1109,11 @@ def _resolve_assignment(
 _WORKER: dict = {}
 
 
+# rows generated in lockstep, consecutive ordinals whatever their clusters;
 # caps a tvmc block's pre-drawn uniforms at about 3 MB for 1440-interval days
 _BLOCK_ROWS = 256
 
-# ordinals whose streams are alive at once; several blocks per window keep
-# the per-cluster blocks of a clustered run full
+# ordinals whose streams are alive at once
 _WINDOW_ROWS = 4 * _BLOCK_ROWS
 
 # the most cells (count x target_length) one batch may hold; its matrix
@@ -1020,34 +1149,36 @@ def _check_batch_size(count: int, target_length: int) -> None:
 def _worker_chunk(ordinals: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(clusters, states, fallbacks) of the ordinals, one row each, in order."""
     config, weights = _WORKER["config"], _WORKER["weights"]
+    corpus, labels = _WORKER["corpus"], _WORKER["labels"]
     cls = _ENGINE_CLASSES[_WORKER["engine_name"]]
-    dtype = _WORKER["clusters"][0].alphabet.cell_dtype
     ords = list(ordinals)
     clusters = np.zeros(len(ords), dtype=np.int64)
-    states = np.empty((len(ords), config.target_length), dtype=dtype)
+    states = np.empty((len(ords), config.target_length), dtype=corpus.alphabet.cell_dtype)
     fallbacks = np.empty((len(ords), len(cls.fallback_names)), dtype=np.int64)
+    engine = cls(corpus, config, labels) if ords else None
     for start in range(0, len(ords), _WINDOW_ROWS):
         rngs = [
             _stream(config.seed, _SEQUENCE_STREAM, o)
             for o in ords[start : start + _WINDOW_ROWS]
         ]
-        drawn = clusters[start : start + len(rngs)]
         if weights is not None:
-            drawn[:] = weights.choose(np.array([rng.random() for rng in rngs]))
-        for cluster in np.unique(drawn).tolist():
-            engine = cls(_WORKER["clusters"][cluster], config, stream_key=cluster)
-            rows = np.flatnonzero(drawn == cluster)
-            for lo in range(0, rows.size, _BLOCK_ROWS):
-                block = rows[lo : lo + _BLOCK_ROWS]
-                at = start + block
-                states[at], fallbacks[at] = engine.generate_many([rngs[r] for r in block])
+            clusters[start : start + len(rngs)] = weights.choose(
+                np.array([rng.random() for rng in rngs])
+            )
+        # blocks of consecutive ordinals, whatever their clusters
+        for lo in range(0, len(rngs), _BLOCK_ROWS):
+            block = rngs[lo : lo + _BLOCK_ROWS]
+            at = slice(start + lo, start + lo + len(block))
+            states[at], fallbacks[at] = engine.generate_many(block, clusters[at])
     return clusters, states, fallbacks
 
 
-def _worker_init(clusters, config, engine_name, weights) -> None:
-    """``weights`` is None for a batch without a cluster assignment."""
+def _worker_init(corpus, labels, config, engine_name, weights) -> None:
+    """``labels`` and ``weights`` are None for a batch without a cluster assignment."""
     _WORKER.clear()
-    _WORKER.update(clusters=clusters, config=config, engine_name=engine_name, weights=weights)
+    _WORKER.update(
+        corpus=corpus, labels=labels, config=config, engine_name=engine_name, weights=weights
+    )
 
 
 def synthesize_batch(
@@ -1063,7 +1194,7 @@ def synthesize_batch(
 
     With an assignment, each output first draws a cluster (weights
     default to cluster sizes; without an assignment, weights are an
-    error) and then synthesizes from that cluster's sub-corpus.  Output
+    error) and then synthesizes from that cluster's days.  Output
     ``i`` depends only on (corpus, config, i), so results are
     byte-identical for any ``workers`` value from 1 to 64.
     """
@@ -1073,19 +1204,15 @@ def synthesize_batch(
     _check_batch_size(count, config.target_length)
     _check_engine_inputs(corpus, config)
 
-    labels_vec = _resolve_assignment(corpus, assignment)
-    if labels_vec is None:
+    labels = _resolve_assignment(corpus, assignment)
+    if labels is None:
         if weights is not None:
             raise ConfigError("weights need a cluster assignment")
-        clusters = [corpus]
         cluster_weights = None
     else:
-        clusters = _source(corpus).split(labels_vec)
-        k = len(clusters)
+        k = _cluster_count(labels)
         if weights is None:
-            cluster_weights = ClusterWeights(
-                np.bincount(labels_vec, minlength=k).astype(np.float64)
-            )
+            cluster_weights = ClusterWeights(np.bincount(labels, minlength=k).astype(np.float64))
         elif isinstance(weights, ClusterWeights):
             cluster_weights = weights
         else:
@@ -1099,15 +1226,13 @@ def synthesize_batch(
                 f"{cluster_weights.k} weights given for {k} clusters"
             )
 
-    _worker_init(clusters, config, engine, cluster_weights)
+    _worker_init(corpus, labels, config, engine, cluster_weights)
     if workers == 1 or count == 0:
         chunk_results = [_worker_chunk(range(count))]
     else:
-        # warm every cluster's source before the pool starts so forked
-        # workers inherit it instead of rebuilding it per process
-        cls = _ENGINE_CLASSES[engine]
-        for c, cluster in enumerate(clusters):
-            cls(cluster, config, stream_key=c)
+        # warm the source before the pool starts so forked workers
+        # inherit it instead of rebuilding it per process
+        _ENGINE_CLASSES[engine](corpus, config, labels)
         chunk_size = max(1, math.ceil(count / (workers * 4)))
         chunks = [
             range(lo, min(lo + chunk_size, count))
@@ -1119,7 +1244,7 @@ def synthesize_batch(
         except ValueError:
             ctx = multiprocessing.get_context("spawn")
             init = _worker_init
-            initargs = (clusters, config, engine, cluster_weights)
+            initargs = (corpus, labels, config, engine, cluster_weights)
         # a worker's full collection would otherwise visit, and so copy,
         # every object it inherits; a caller's own freeze is left alone
         thaw = gc.get_freeze_count() == 0

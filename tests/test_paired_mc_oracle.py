@@ -425,7 +425,7 @@ def _compare(corpus, config, n_rows=6):
     assert fallbacks.shape == (n_rows, len(FALLBACK_KEYS))
     totals = dict.fromkeys(FALLBACK_KEYS, 0)
     for row, counts, w in zip(states, fallbacks.tolist(), want):
-        assert row.dtype == w.states.dtype
+        assert row.dtype == corpus.alphabet.cell_dtype
         assert np.array_equal(row, w.states)
         assert list(zip(FALLBACK_KEYS, counts)) == list(w.fallbacks.items())
         for key in FALLBACK_KEYS:

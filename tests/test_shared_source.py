@@ -6,6 +6,7 @@ run on one corpus object that every earlier batch of the grid used.
 """
 
 import copy
+import math
 import pickle
 import weakref
 from dataclasses import replace
@@ -128,12 +129,12 @@ def test_new_buffer_key_replaces_the_one_slot():
     old_index = weakref.ref(first.index)
     del first
     source = synth._source(corpus)
-    assert source._slot.key == (30, 1, 0)
+    assert source._slot.key == (30, 1)
     for delta, seed in ((30, 2), (60, 2)):
         engine = synth.PairedMcEngine(
             corpus, SynthesisConfig(delta=delta, target_length=LENGTH, seed=seed)
         )
-        assert source._slot.key == (delta, seed, 0)
+        assert source._slot.key == (delta, seed)
         assert source._slot.index is engine.index
     assert old_index() is None  # the replaced index was freed, not kept aside
 
@@ -151,31 +152,39 @@ def test_orders_share_one_index_and_buffer():
 
 
 def test_clustered_batch_builds_each_cluster_once(monkeypatch):
-    # engines are built per cluster block of every window; each must be a
-    # view of its cluster's source, not a rebuild of its fit or index
+    # one fit and one index serve every cluster, and each window runs in
+    # blocks of consecutive ordinals whatever their clusters
     monkeypatch.setattr(synth, "_BLOCK_ROWS", 8)
     monkeypatch.setattr(synth, "_WINDOW_ROWS", 20)
-    calls = {"build_index": 0, "fit": 0}
+    calls = {"build_index": 0, "fit": 0, "generate_many": 0}
     build_index, fit = synth.build_index, synth.TvmcModel.fit.__func__
+    generate_many = synth.PairedMcEngine.generate_many
 
     def counted_build_index(*args, **kwargs):
         calls["build_index"] += 1
         return build_index(*args, **kwargs)
 
-    def counted_fit(cls, corpus):
+    def counted_fit(cls, *args, **kwargs):
         calls["fit"] += 1
-        return fit(cls, corpus)
+        return fit(cls, *args, **kwargs)
+
+    def counted_generate_many(*args, **kwargs):
+        calls["generate_many"] += 1
+        return generate_many(*args, **kwargs)
 
     monkeypatch.setattr(synth, "build_index", counted_build_index)
     monkeypatch.setattr(synth.TvmcModel, "fit", classmethod(counted_fit))
+    monkeypatch.setattr(synth.PairedMcEngine, "generate_many", counted_generate_many)
     corpus = _corpus()
     config = SynthesisConfig(delta=30, target_length=LENGTH, seed=4, sampler="kde")
-    k = 3
+    k, count = 3, 150
     _, provenance = synthesize_batch(
-        corpus, config, 150, assignment=ClusterAssignment(np.arange(len(corpus)) % k)
+        corpus, config, count, assignment=ClusterAssignment(np.arange(len(corpus)) % k)
     )
     assert sorted(set(provenance.clusters.tolist())) == list(range(k))
-    assert calls == {"build_index": k, "fit": k}
+    windows = [min(20, count - lo) for lo in range(0, count, 20)]
+    blocks = sum(math.ceil(rows / 8) for rows in windows)
+    assert calls == {"build_index": 1, "fit": 1, "generate_many": blocks}
     first, second = synth.PairedMcEngine(corpus, config), synth.PairedMcEngine(corpus, config)
     assert first.index is second.index
     assert first.index.by_state is second.index.by_state

@@ -100,7 +100,7 @@ class TestFit:
     def test_matches_per_interval_loop(self, corpus):
         model = TvmcModel.fit(corpus)
         for got, want in zip(
-            (model.trans_cum, model.first_cum, model.marginal_cum), oracle_fit(corpus)
+            (model.trans_cum[0], model.first_cum[0], model.marginal_cum[0]), oracle_fit(corpus)
         ):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
@@ -109,9 +109,9 @@ class TestFit:
         corpus = activity_ground_truth(40, 1440, seed=80)
         model = TvmcModel.fit(corpus)
         trans_cum, first_cum, marginal_cum = oracle_fit(corpus)
-        assert np.array_equal(model.trans_cum, trans_cum)
-        assert np.array_equal(model.first_cum, first_cum)
-        assert np.array_equal(model.marginal_cum, marginal_cum)
+        assert np.array_equal(model.trans_cum[0], trans_cum)
+        assert np.array_equal(model.first_cum[0], first_cum)
+        assert np.array_equal(model.marginal_cum[0], marginal_cum)
 
 
 class TestWalk:
