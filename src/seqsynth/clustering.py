@@ -225,11 +225,16 @@ def pairwise_distance(corpus: Corpus, metric: str = "hamming") -> DistanceMatrix
     length = mat.shape[1]
     # dist(i, j) = length - sum_s <row_i == s> . <row_j == s>; each product
     # is exact in float32 because counts never exceed the sequence length
-    # (< 2**24), so the sum is an exact, symmetric integer with a zero diagonal
+    # (< 2**24), so the sum is an exact, symmetric integer with a zero diagonal;
+    # one indicator and one product buffer serve every state, and both are
+    # freed before the checks in DistanceMatrix, whose temporaries set the peak
     dist = np.zeros((n, n), dtype=np.float64)
+    one_hot = np.empty(mat.shape, dtype=np.float32)
+    product = np.empty((n, n), dtype=np.float32)
     for s in range(corpus.alphabet.size):
-        one_hot = (mat == s).astype(np.float32)
-        dist -= one_hot @ one_hot.T
+        np.equal(mat, s, out=one_hot, casting="unsafe")
+        dist -= np.matmul(one_hot, one_hot.T, out=product)
+    del one_hot, product
     dist += length
     return DistanceMatrix(dist)
 

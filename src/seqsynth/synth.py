@@ -3,7 +3,9 @@
 Two engines are provided:
 
 * ``paired-mc`` - the paired state/duration engine.  Source sequences
-  are run-length encoded into episode chains; generation alternates a
+  are run-length encoded into episode chains.  A day opens with a state
+  drawn as the baseline draws its first interval and one of that
+  state's observed opening durations; generation then alternates a
   state draw (from transitions observed within a clock-time window of
   the current end time, conditioned on the preceding one or more
   episode states) with a duration draw for the chosen state.  Source
@@ -19,11 +21,11 @@ Two engines are provided:
   clock time; a block of sequences is walked in lockstep too.
 
 A clustered batch draws each sequence from one cluster's days.  The
-cluster is one more key of the source model: the baseline counts, the
-opening episodes, the duration pools and the index records all carry
-it, so one engine serves every cluster, and a block of consecutive
-ordinals advances in lockstep whatever its clusters, each row reading
-only its own cluster's statistics.
+cluster is one more key of the source model: the baseline counts
+(opening states included), the opening and all_day duration pools and
+the index records all carry it, so one engine serves every cluster, and
+a block of consecutive ordinals advances in lockstep whatever its
+clusters, each row reading only its own cluster's statistics.
 
 Reproducibility contract: every output sequence is generated from an
 independent random stream derived from ``(config.seed, ordinal)``, so a
@@ -31,8 +33,9 @@ batch is byte-identical for a given (corpus, config, count) regardless
 of how many workers run it or how its sequences are grouped into blocks.
 Every draw reads doubles of that stream in order (a clustered run spends
 the first on the cluster): a position in a pool of n is
-``floor(u * n)``, a categorical draw is
-``searchsorted(cum, u * total, "right")``, and Gaussian kde noise is
+``floor(u * n)``, every categorical draw (a baseline interval, an
+opening state, a two-stage state) is ``searchsorted(cum, u * total,
+"right")`` over its cumulative counts, and Gaussian kde noise is
 Box-Muller from two doubles, ``sqrt(-2 ln(1 - u1)) cos(2 pi u2)``.
 """
 
@@ -60,7 +63,6 @@ __all__ = [
     "config_from_dict",
     "config_to_dict",
     "TvmcModel",
-    "FirstEpisodeTable",
     "Candidates",
     "CandidateIndex",
     "build_index",
@@ -304,55 +306,14 @@ class TvmcModel:
         for k in range(n_steps):
             at = base + (t0 + k) % self.length  # c*L + t
             rows = self._trans_rows[at * self.n_states + cur]  # fancy indexing copies
-            totals = rows[:, -1]
-            missing = totals == 0
+            missing = rows[:, -1] == 0
             if missing.any():
                 marginal = np.broadcast_to(self._marginal_rows[at], rows.shape)
                 rows[missing] = marginal[missing]
-                totals = rows[:, -1]
                 fallbacks += missing
-            # count of cumulative cells <= u*total == searchsorted(..., 'right')
-            cur = (rows <= (uniforms[:, k] * totals)[:, None]).sum(axis=1)
+            cur = _categorical(rows, uniforms[:, k])
             states[:, k] = cur
         return states, fallbacks
-
-
-class FirstEpisodeTable:
-    """Empirical (state, duration) distribution of sequence-opening episodes.
-
-    With ``labels``, each cluster has its own distribution.  The opening
-    durations of state s in cluster c are ``durations[bounds[g]:bounds[g + 1]]``
-    with ``g = c * n_states + s``, in row order.
-    """
-
-    def __init__(self, corpus: Corpus, labels: np.ndarray | None = None):
-        _, starts, states, durations = episode_table(corpus.states_matrix)
-        first = starts == 0  # one per row, in row order
-        self.n_states = corpus.alphabet.size
-        k = _cluster_count(labels)
-        groups = states[first] if labels is None else labels * self.n_states + states[first]
-        self.durations, self.bounds = _grouped(groups, durations[first], k * self.n_states)
-
-    def draw(
-        self, u_state: np.ndarray, u_pos: np.ndarray, cluster=0
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Opening states drawn by frequency, then a duration of each state.
-
-        Row i reads ``u_state[i]`` for its state and ``u_pos[i]`` for a
-        position among that state's opening durations, both in cluster
-        ``cluster`` (one or one per row).
-        """
-        bounds, group = self.bounds, np.asarray(cluster) * self.n_states
-        # an integer bound b is at most u * total exactly when it is at most
-        # floor(u * total), so the cluster's offset goes on the integer floor;
-        # added to the float product it could round across a bound
-        base = bounds[group]
-        group = np.searchsorted(
-            bounds[1:], base + _pick(u_state, bounds[group + self.n_states] - base), side="right"
-        )
-        start = bounds[group]
-        pos = start + _pick(u_pos, bounds[group + 1] - start)
-        return group % self.n_states, self.durations[pos]
 
 
 def _cluster_count(labels: np.ndarray | None) -> int:
@@ -360,11 +321,14 @@ def _cluster_count(labels: np.ndarray | None) -> int:
     return 1 if labels is None else int(labels.max()) + 1
 
 
-def _grouped(groups, values, n_groups) -> tuple[np.ndarray, np.ndarray]:
-    """``values`` grouped by ``groups``, keeping their order, and each group's bounds."""
-    counts = np.bincount(groups, minlength=n_groups)
-    bounds = np.concatenate(([0], counts.cumsum()))
-    return values[np.argsort(groups, kind="stable")], bounds
+def _categorical(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Category of each row of cumulative counts ``cum``, drawn by its uniform in ``u``.
+
+    Counting the cumulative counts at most ``u * total`` is the right-side
+    ``searchsorted``, so a category with no count never wins.  For integer
+    counts, ``b <= u * total`` exactly when ``b <= floor(u * total)``.
+    """
+    return (cum <= (u * cum[:, -1])[:, None]).sum(axis=1)
 
 
 def _pick(u: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -618,18 +582,23 @@ def extend_with_buffer(
 class _Pool:
     """Durations laid out so that every duration pool is one slice of ``values``.
 
-    With ``bounds``, the all_day pool of state s in cluster c is
-    ``values[bounds[g]:bounds[g + 1]]`` with ``g = c * n_states + s``;
-    without, a state's window pool is its slice of the index durations in
-    by-state order.  Silverman's bandwidth of a slice is a function of the
-    slice alone, so it is computed once per ``(start, size)``; the memo
-    gains at most one entry per kde draw.
+    With ``bounds``, the pool of state s in cluster c (its opening or its
+    all_day durations) is ``values[bounds[g]:bounds[g + 1]]`` with
+    ``g = c * n_states + s``; without, a state's window pool is its slice
+    of the index durations in by-state order.  Silverman's bandwidth of a
+    slice is a function of the slice alone, so it is computed once per
+    ``(start, size)``; the memo gains at most one entry per kde draw.
     """
 
     def __init__(self, values: np.ndarray, bounds: np.ndarray | None = None):
         self.values = values
         self.bounds = bounds
         self._silverman: dict[tuple[int, int], float] = {}
+
+    def group(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(start, size)`` of the slice of each group in ``g``."""
+        start = self.bounds[g]
+        return start, self.bounds[g + 1] - start
 
     def silverman(self, start: np.ndarray, size: np.ndarray) -> np.ndarray:
         """Silverman's bandwidth of each slice ``values[start:start + size]``."""
@@ -656,8 +625,11 @@ class _Source:
     first time an engine asks for it, and keys its counts, episodes and
     records by cluster; an engine is only a view of these parts:
 
-    * the fitted :class:`TvmcModel`, the :class:`FirstEpisodeTable` and
-      the all_day duration pool;
+    * the fitted :class:`TvmcModel`, whose opening-state counts pick a
+      day's opening state;
+    * two duration pools grouped by cluster and state: ``first``, the
+      durations of each day's opening episode, and ``all_day``, those of
+      every episode;
     * one slot: the buffered corpus of one ``(delta, seed)`` (``delta``
       alone without a buffer) and its :class:`CandidateIndex`, built at
       the highest order asked for so far.  Each order's keys are their
@@ -670,7 +642,7 @@ class _Source:
     New labels drop every part.  This is sound because a ``Corpus`` is
     frozen and owns a read-only matrix.  The source holds only a weak
     reference to its corpus, which holds the source, so the two are
-    freed together.  Memory: the model, table and pool live as long as
+    freed together.  Memory: the model and pools live as long as
     the corpus and its labels.  The slot outlives the batch that built
     it, so between batches memory holds at most one buffered corpus and
     index per corpus beyond what a fresh build holds, whatever the
@@ -705,16 +677,28 @@ class _Source:
         return TvmcModel.fit(self._corpus(), self.labels)
 
     @cached_property
-    def first(self) -> FirstEpisodeTable:
-        return FirstEpisodeTable(self._corpus(), self.labels)
+    def first(self) -> _Pool:
+        return self._durations(opening=True)
 
     @cached_property
     def all_day(self) -> _Pool:
+        return self._durations(opening=False)
+
+    def _durations(self, opening: bool) -> _Pool:
+        """Episode durations grouped by ``cluster * n_states + state``, in row order.
+
+        ``opening`` keeps only each day's first episode.
+        """
         corpus = self._corpus()
         n_states = corpus.alphabet.size
-        rows, _, states, durations = episode_table(corpus.states_matrix)
+        rows, starts, states, durations = episode_table(corpus.states_matrix)
+        if opening:
+            first = starts == 0  # one per row
+            rows, states, durations = rows[first], states[first], durations[first]
         groups = states if self.labels is None else self.labels[rows] * n_states + states
-        return _Pool(*_grouped(groups, durations, self.n_clusters * n_states))
+        counts = np.bincount(groups, minlength=self.n_clusters * n_states)
+        bounds = np.concatenate(([0], counts.cumsum()))
+        return _Pool(durations[np.argsort(groups, kind="stable")], bounds)
 
     def slot(self, config: SynthesisConfig) -> _Slot:
         """The slot for ``config``'s buffer, indexed up to at least its order."""
@@ -823,10 +807,10 @@ class PairedMcEngine:
 
     The engine is a view of the corpus's shared source model
     (:class:`_Source`) for ``labels`` (one cluster without): the
-    per-interval baseline used by the buffer and the fallback ladder, the
-    opening-episode table, and the index of every observed transition of
-    the buffered corpus up to (at least) the configured order, each keyed
-    by cluster.
+    per-interval baseline used by the buffer and the fallback ladder, whose
+    opening-state counts also open every day, the opening durations, and
+    the index of every observed transition of the buffered corpus up to
+    (at least) the configured order, each keyed by cluster.
 
     ``generate_many`` advances the sequences of a batch of independent
     random streams in lockstep, whatever their clusters.  Each step runs
@@ -876,7 +860,7 @@ class PairedMcEngine:
         n_rows = uniforms.n_rows
         cluster = _row_clusters(n_rows, clusters, self.tvmc.n_clusters)
         every = np.arange(n_rows)
-        cur, end = self.first.draw(uniforms.take(every), uniforms.take(every), cluster)
+        cur, end = self._opening(uniforms.take(every), uniforms.take(every), cluster)
         episodes = [(every, cur.copy(), np.zeros(n_rows, dtype=np.int64))]
         # preceding states, most recent first; depth counts the episodes before
         context = np.zeros((n_rows, MAX_ORDER - 1), dtype=np.int64)
@@ -935,6 +919,17 @@ class PairedMcEngine:
         states = states[by_row].astype(self.tvmc.dtype)
         return np.repeat(states, durations).reshape(n_rows, self.n), fallbacks
 
+    def _opening(self, u_state, u_pos, cluster) -> tuple[np.ndarray, np.ndarray]:
+        """Opening states by their count in each row's cluster, then a duration of each.
+
+        Row i reads ``u_state[i]`` for its state, as the baseline draws its
+        first interval, and ``u_pos[i]`` for a position among that state's
+        opening durations in cluster ``cluster[i]``.
+        """
+        state = _categorical(self.tvmc.first_cum[cluster], u_state)
+        start, size = self.first.group(cluster * self.index.n_states + state)
+        return state, self.first.values[start + _pick(u_pos, size)]
+
     def _two_stage(self, uniforms, rows, lo, hi, cluster) -> tuple[np.ndarray, np.ndarray]:
         """A state by its multiplicity in each ``[lo, hi)``, then its duration.
 
@@ -949,17 +944,13 @@ class PairedMcEngine:
         base = np.arange(n_states) * span
         first = np.searchsorted(self._by_state, base + lo[:, None])
         counts = np.searchsorted(self._by_state, base + hi[:, None]) - first
-        cum = counts.cumsum(axis=1)
-        # a state with zero count never wins, so counting the cumulative
-        # counts <= u * total is the right-side search over present states
-        state = (cum <= (uniforms.take(rows) * cum[:, -1])[:, None]).sum(axis=1)
+        state = _categorical(counts.cumsum(axis=1), uniforms.take(rows))
         pool = self._pool
         if pool.bounds is None:
             row = np.arange(state.size)
             start, size = first[row, state], counts[row, state]
         else:
-            group = cluster * n_states + state
-            start, size = pool.bounds[group], pool.bounds[group + 1] - pool.bounds[group]
+            start, size = pool.group(cluster * n_states + state)
         dur = pool.values[start + _pick(uniforms.take(rows), size)]
         if self.config.sampler == "kde":
             if self.config.kde_bandwidth is None:
@@ -1030,10 +1021,8 @@ class TvmcEngine:
         u = np.empty((len(rngs), self.n))
         for row, rng in zip(u, rngs):
             rng.random(out=row)
-        first = self.model.first_cum[cluster]
         states = np.empty(u.shape, dtype=self.model.dtype)
-        # count of cumulative counts <= u*total == searchsorted(..., 'right')
-        states[:, 0] = (first <= (u[:, 0] * first[:, -1])[:, None]).sum(axis=1)
+        states[:, 0] = _categorical(self.model.first_cum[cluster], u[:, 0])
         states[:, 1:], fallbacks = self.model.walk(states[:, 0], 1, u[:, 1:], cluster)
         return states, fallbacks[:, None]
 
@@ -1110,11 +1099,9 @@ _WORKER: dict = {}
 
 
 # rows generated in lockstep, consecutive ordinals whatever their clusters;
-# caps a tvmc block's pre-drawn uniforms at about 3 MB for 1440-interval days
+# only one block's streams are alive at once, and a tvmc block's pre-drawn
+# uniforms take about 3 MB for 1440-interval days
 _BLOCK_ROWS = 256
-
-# ordinals whose streams are alive at once
-_WINDOW_ROWS = 4 * _BLOCK_ROWS
 
 # the most cells (count x target_length) one batch may hold; its matrix
 # takes one byte a cell for up to 128 states, so about 1 GiB, and each
@@ -1156,20 +1143,13 @@ def _worker_chunk(ordinals: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.n
     states = np.empty((len(ords), config.target_length), dtype=corpus.alphabet.cell_dtype)
     fallbacks = np.empty((len(ords), len(cls.fallback_names)), dtype=np.int64)
     engine = cls(corpus, config, labels) if ords else None
-    for start in range(0, len(ords), _WINDOW_ROWS):
-        rngs = [
-            _stream(config.seed, _SEQUENCE_STREAM, o)
-            for o in ords[start : start + _WINDOW_ROWS]
-        ]
+    # blocks of consecutive ordinals, whatever their clusters
+    for lo in range(0, len(ords), _BLOCK_ROWS):
+        rngs = [_stream(config.seed, _SEQUENCE_STREAM, o) for o in ords[lo : lo + _BLOCK_ROWS]]
+        at = slice(lo, lo + len(rngs))
         if weights is not None:
-            clusters[start : start + len(rngs)] = weights.choose(
-                np.array([rng.random() for rng in rngs])
-            )
-        # blocks of consecutive ordinals, whatever their clusters
-        for lo in range(0, len(rngs), _BLOCK_ROWS):
-            block = rngs[lo : lo + _BLOCK_ROWS]
-            at = slice(start + lo, start + lo + len(block))
-            states[at], fallbacks[at] = engine.generate_many(block, clusters[at])
+            clusters[at] = weights.choose(np.array([rng.random() for rng in rngs]))
+        states[at], fallbacks[at] = engine.generate_many(rngs, clusters[at])
     return clusters, states, fallbacks
 
 

@@ -1,6 +1,6 @@
 """The cluster axis of the source model against per-cluster sub-corpora.
 
-A labelled fit, opening table, buffer and index key every part by
+A labelled fit, opening draw, buffer and index key every part by
 cluster.  The oracle for cluster c is the same part built from
 ``corpus.subset(labels == c)`` alone, which is how clustered batches
 were built before the cluster became a key.
@@ -22,9 +22,9 @@ from seqsynth import (
     build_index,
     extend_with_buffer,
 )
-from seqsynth.synth import FirstEpisodeTable
 
 from _groundtruth import activity_ground_truth
+from test_paired_mc_oracle import OracleFirstEpisodes
 from test_tvmc_oracle import oracle_fit, oracle_step, small_corpora
 
 
@@ -88,23 +88,36 @@ class TestFit:
             assert fallbacks[i] == fell_back
 
 
+class _Doubles:
+    """A stand-in stream that returns the given doubles in order."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def random(self):
+        return next(self._values)
+
+
 class TestFirstEpisodes:
     @settings(max_examples=60, deadline=None)
     @given(labelled_corpora(), st.integers(0, 2**32))
     def test_draws_match_the_table_of_each_cluster(self, case, seed):
         corpus, labels = case
         k = int(labels.max()) + 1
-        table = FirstEpisodeTable(corpus, labels)
+        config = SynthesisConfig(delta=0, buffer="none", target_length=corpus.length)
+        engine = PairedMcEngine(corpus, config, labels)
         rng = np.random.default_rng(seed)
         for c in range(k):
-            part = FirstEpisodeTable(_subset(corpus, labels, c))
-            total = int(part.bounds[-1])
+            part = OracleFirstEpisodes(_subset(corpus, labels, c))
+            total = int(np.sum(labels == c))
             # random doubles, and doubles on and just below every bound
             edges = np.arange(total) / total
             u_state = np.concatenate((rng.random(20), edges, np.nextafter(edges, -1)[1:]))
             u_pos = rng.random(u_state.size)
-            got = table.draw(u_state, u_pos, np.full(u_state.size, c))
-            want = part.draw(u_state, u_pos)
+            got = engine._opening(u_state, u_pos, np.full(u_state.size, c))
+            want = np.array(
+                [part.draw(_Doubles(pair)) for pair in zip(u_state, u_pos)]
+            ).T
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
 

@@ -544,9 +544,8 @@ class TestBatchOracle:
     def test_batch_matches_scalar_generation(
         self, workers, clustered, settings_, monkeypatch
     ):
-        # many windows per chunk, several blocks per cluster per window
+        # many blocks per chunk, each mixing clusters
         monkeypatch.setattr(synth, "_BLOCK_ROWS", 8)
-        monkeypatch.setattr(synth, "_WINDOW_ROWS", 20)
         corpus = activity_ground_truth(30, 120, seed=85)
         config = SynthesisConfig(delta=15, target_length=120, seed=86, **settings_)
         count = 150
@@ -607,7 +606,6 @@ class TestBatchOracle:
         )
         monkeypatch.setattr(synth, "_WIDTH", width)
         monkeypatch.setattr(synth, "_BLOCK_ROWS", 8)
-        monkeypatch.setattr(synth, "_WINDOW_ROWS", 20)
         got, prov = synthesize_batch(corpus, config, 60, assignment=labels, weights=weights)
         assert got.states_matrix.tobytes() == want.states_matrix.tobytes()
         assert prov.to_dict() == want_prov.to_dict()

@@ -152,10 +152,9 @@ def test_orders_share_one_index_and_buffer():
 
 
 def test_clustered_batch_builds_each_cluster_once(monkeypatch):
-    # one fit and one index serve every cluster, and each window runs in
+    # one fit and one index serve every cluster, and a batch runs in
     # blocks of consecutive ordinals whatever their clusters
     monkeypatch.setattr(synth, "_BLOCK_ROWS", 8)
-    monkeypatch.setattr(synth, "_WINDOW_ROWS", 20)
     calls = {"build_index": 0, "fit": 0, "generate_many": 0}
     build_index, fit = synth.build_index, synth.TvmcModel.fit.__func__
     generate_many = synth.PairedMcEngine.generate_many
@@ -182,9 +181,7 @@ def test_clustered_batch_builds_each_cluster_once(monkeypatch):
         corpus, config, count, assignment=ClusterAssignment(np.arange(len(corpus)) % k)
     )
     assert sorted(set(provenance.clusters.tolist())) == list(range(k))
-    windows = [min(20, count - lo) for lo in range(0, count, 20)]
-    blocks = sum(math.ceil(rows / 8) for rows in windows)
-    assert calls == {"build_index": 1, "fit": 1, "generate_many": blocks}
+    assert calls == {"build_index": 1, "fit": 1, "generate_many": math.ceil(count / 8)}
     first, second = synth.PairedMcEngine(corpus, config), synth.PairedMcEngine(corpus, config)
     assert first.index is second.index
     assert first.index.by_state is second.index.by_state

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqsynth import (
     ConfigError,
@@ -22,7 +24,7 @@ from seqsynth import (
 from seqsynth import synth
 from seqsynth.synth import (
     Candidates,
-    FirstEpisodeTable,
+    _categorical,
     _pick,
     config_from_dict,
     config_to_dict,
@@ -207,13 +209,19 @@ class TestCandidateIndex:
                 assert got == brute_candidates(corpus, a_c, context, t_c, delta, order)
 
 
+def opening_draw(corpus, u_state, u_pos):
+    """The paired-mc opening (states, durations) of one row per uniform pair."""
+    config = SynthesisConfig(delta=0, buffer="none", target_length=corpus.length)
+    engine = PairedMcEngine(corpus, config)
+    return engine._opening(u_state, u_pos, np.zeros(len(u_state), dtype=np.int64))
+
+
 class TestInitialize:
     def test_single_start_state(self):
         alphabet = two_state_alphabet()
         corpus = Corpus.from_arrays(alphabet, [[0, 0, 1], [0, 1, 1]])
-        table = FirstEpisodeTable(corpus)
         rng = np.random.default_rng(13)
-        states, durations = table.draw(rng.random(20), rng.random(20))
+        states, durations = opening_draw(corpus, rng.random(20), rng.random(20))
         assert np.all(states == 0)
         assert set(durations.tolist()) <= {1, 2}
 
@@ -223,9 +231,8 @@ class TestInitialize:
             alphabet,
             [[0] * 420 + [1] * 1020, [0] * 480 + [1] * 960, [1] * 510 + [0] * 930],
         )
-        table = FirstEpisodeTable(corpus)
         rng = np.random.default_rng(14)
-        states, durations = table.draw(rng.random(300), rng.random(300))
+        states, durations = opening_draw(corpus, rng.random(300), rng.random(300))
         seen_home = set(durations[states == 0].tolist())
         seen_work = set(durations[states != 0].tolist())
         assert seen_home <= {420, 480}
@@ -241,16 +248,52 @@ class TestInitialize:
             other = (s + 1) % 3
             arrays.append([s] * 30 + [other] * 30)
         corpus = Corpus.from_arrays(alphabet, arrays)
-        table = FirstEpisodeTable(corpus)
         rng = np.random.default_rng(16)
-        draws, _ = table.draw(rng.random(10000), rng.random(10000))
+        draws, _ = opening_draw(corpus, rng.random(10000), rng.random(10000))
         observed = np.bincount(draws, minlength=3)
         expected = np.bincount(starts, minlength=3) / 400 * 10000
         result = stats.chisquare(observed, f_exp=expected)
         assert result.pvalue > 0.01
 
+    @pytest.mark.parametrize("clustered", [False, True])
+    def test_both_engines_open_on_the_same_state(self, clustered):
+        # a paired-mc day's first state is drawn as the baseline's first
+        # interval, from the same opening counts and the same first double
+        corpus = activity_ground_truth(40, 120, seed=17)
+        labels = np.arange(len(corpus)) % 3 if clustered else None
+        clusters = np.random.default_rng(18).integers(0, 3, 200) if clustered else None
+        config = SynthesisConfig(delta=15, target_length=120, seed=19)
+        days = []
+        for engine in (PairedMcEngine, TvmcEngine):
+            rngs = [np.random.default_rng(20 + i) for i in range(200)]
+            days.append(engine(corpus, config, labels).generate_many(rngs, clusters)[0])
+        assert np.array_equal(days[0][:, 0], days[1][:, 0])
+        assert len(set(days[0][:, 0].tolist())) > 1
+
+
+@st.composite
+def counts_and_doubles(draw):
+    """Integer counts, some empty, and doubles on, just below and between the bounds."""
+    counts = draw(
+        st.lists(st.integers(0, 2**31), min_size=1, max_size=12).filter(lambda c: sum(c) > 0)
+    )
+    cum = np.cumsum(counts)
+    bounds = cum / cum[-1]
+    edges = np.concatenate(([0.0, np.nextafter(1.0, 0.0)], bounds, np.nextafter(bounds, 0.0)))
+    edges = edges[edges < 1.0]
+    some = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
+    return cum, np.concatenate((edges, some))
+
 
 class TestDrawRule:
+    @settings(max_examples=200, deadline=None)
+    @given(counts_and_doubles())
+    def test_categorical_is_the_right_side_search(self, case):
+        cum, u = case
+        got = _categorical(np.broadcast_to(cum, (u.size, cum.size)), u)
+        assert np.array_equal(got, np.searchsorted(cum, u * cum[-1], side="right"))
+        assert np.all(np.diff(np.concatenate(([0], cum)))[got] > 0)
+
     def test_position_covers_the_pool(self):
         # the largest double Generator.random returns is 1 - 2**-53, and
         # n - n * 2**-53 rounds below n for every n <= 2**53, so the top

@@ -179,9 +179,8 @@ class TestBatchOracle:
         self, workers, clustered, small_windows, monkeypatch
     ):
         if small_windows:
-            # many windows per chunk, several blocks per cluster per window
+            # many blocks per chunk, each mixing clusters
             monkeypatch.setattr(synth, "_BLOCK_ROWS", 8)
-            monkeypatch.setattr(synth, "_WINDOW_ROWS", 20)
         corpus = activity_ground_truth(30, 120, seed=81)
         config = SynthesisConfig(delta=20, target_length=120, seed=82)
         count = 600  # several 256-row blocks, not a multiple of 256
