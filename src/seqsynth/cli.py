@@ -37,7 +37,7 @@ from pathlib import Path
 from . import clustering, evaluate, synth
 from . import io as seqio
 from .core import Corpus, discretize_corpus, smooth_rolling
-from .errors import ConfigError, DataFormatError, SeqSynthError
+from .errors import ConfigError, SeqSynthError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -105,13 +105,10 @@ def _stage_ingest(corpus: Corpus, outdir: Path, cfg_hash: str) -> Corpus:
 def _stage_cluster(
     corpus: Corpus, metric: str, linkage: str, k_range: tuple[int, int],
     min_size: int | None, labels_path, outdir: Path, cfg_hash: str,
-) -> dict[str, int]:
+) -> clustering.ClusterAssignment:
     if labels_path is not None:
         user = seqio.load_cluster_labels(labels_path)
-        missing = [i for i in corpus.ids if i not in user]
-        if missing:
-            raise DataFormatError(f"label file missing ids: {missing[:5]}")
-        assignment = clustering.ClusterAssignment.from_labels([user[i] for i in corpus.ids])
+        assignment = synth._resolve_assignment(corpus, user)
         summary: dict = {"source": "user"}
     else:
         dmat = clustering.pairwise_distance(corpus, metric)
@@ -133,7 +130,7 @@ def _stage_cluster(
     summary.update(k=assignment.k, sizes_desc=sizes_desc, config_hash=cfg_hash)
     seqio.save_cluster_labels(labels, outdir / "assignment.csv")
     seqio.write_json(summary, outdir / "cluster_summary.json")
-    return labels
+    return assignment
 
 
 def _stage_synth(
@@ -435,8 +432,8 @@ def _run(
             tuple(clu["k_range"]), clu["min_size"], labels,
         )
     elif clu["enabled"]:
-        # synthesize_batch rejects a file that misses any corpus id
-        assignment = seqio.load_cluster_labels(root / clu["labels_path"])
+        user = seqio.load_cluster_labels(root / clu["labels_path"])
+        assignment = synth._resolve_assignment(corpus, user)
 
     if "synth" in stages:
         methods = run("synth", lambda *where: {

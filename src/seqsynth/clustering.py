@@ -43,17 +43,27 @@ _MAX_DAYS = 10_000
 
 @dataclass(frozen=True, eq=False)
 class DistanceMatrix:
-    """Finite, symmetric, non-negative distances with a zero diagonal."""
+    """Finite, symmetric, non-negative distances with a zero diagonal.
+
+    Only a read-only float64 array that owns its data, as
+    :func:`pairwise_distance` hands over, is kept without a copy.
+    """
 
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=np.float64, copy=True)
+        arr = self.values
+        owned = isinstance(arr, np.ndarray) and arr.flags.owndata and not arr.flags.writeable
+        if not (owned and arr.dtype == np.float64):
+            arr = np.array(arr, dtype=np.float64, copy=True)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DataFormatError("distance matrix must be square")
-        if not np.isfinite(arr).all():
+        # row blocks of about 2**18 cells keep the checks' temporaries small
+        step = max(1, 2**18 // max(1, arr.shape[0]))
+        blocks = [slice(lo, lo + step) for lo in range(0, arr.shape[0], step)]
+        if not all(np.isfinite(arr[rows]).all() for rows in blocks):
             raise DataFormatError("distances must be finite (no NaN or inf)")
-        if not np.allclose(arr, arr.T, rtol=0.0, atol=1e-9):
+        if any((np.abs(arr[rows] - arr[:, rows].T) > 1e-9).any() for rows in blocks):
             raise DataFormatError("distance matrix must be symmetric")
         if np.diagonal(arr).any():
             raise DataFormatError("distance matrix diagonal must be zero")
@@ -163,10 +173,7 @@ class ClusterAssignment:
     @classmethod
     def from_labels(cls, labels: Sequence[int]) -> "ClusterAssignment":
         """Remap arbitrary integer labels to contiguous 0..k-1 (sorted order)."""
-        arr = np.asarray(labels, dtype=np.int64)
-        uniq = np.unique(arr)
-        remap = {int(v): i for i, v in enumerate(uniq)}
-        return cls(np.array([remap[int(v)] for v in arr]))
+        return cls(np.unique(np.asarray(labels, dtype=np.int64), return_inverse=True)[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,9 +201,14 @@ class ClusterWeights:
         return self.weights / self.weights.sum()
 
     def choose(self, u):
-        """Cluster of each uniform in ``u``: a categorical draw by weight."""
+        """Cluster of each uniform in ``u``: a categorical draw by weight.
+
+        A ``u`` at or past the normalized weights' sum, which can fall just
+        short of 1, draws the last cluster of positive weight.
+        """
         cum = np.cumsum(self.normalized())
-        return np.minimum(np.searchsorted(cum, u, side="right"), self.k - 1)
+        last = np.flatnonzero(self.weights)[-1]
+        return np.minimum(np.searchsorted(cum, u, side="right"), last)
 
     @classmethod
     def from_assignment(cls, assignment: ClusterAssignment) -> "ClusterWeights":
@@ -227,7 +239,7 @@ def pairwise_distance(corpus: Corpus, metric: str = "hamming") -> DistanceMatrix
     # is exact in float32 because counts never exceed the sequence length
     # (< 2**24), so the sum is an exact, symmetric integer with a zero diagonal;
     # one indicator and one product buffer serve every state, and both are
-    # freed before the checks in DistanceMatrix, whose temporaries set the peak
+    # freed before the checks in DistanceMatrix
     dist = np.zeros((n, n), dtype=np.float64)
     one_hot = np.empty(mat.shape, dtype=np.float32)
     product = np.empty((n, n), dtype=np.float32)
@@ -236,6 +248,7 @@ def pairwise_distance(corpus: Corpus, metric: str = "hamming") -> DistanceMatrix
         dist -= np.matmul(one_hot, one_hot.T, out=product)
     del one_hot, product
     dist += length
+    dist.setflags(write=False)  # so DistanceMatrix keeps it without a copy
     return DistanceMatrix(dist)
 
 

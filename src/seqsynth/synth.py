@@ -176,25 +176,20 @@ def config_from_dict(data: Mapping) -> tuple[SynthesisConfig, int | None, list |
     """
     known = config_to_dict(SynthesisConfig(), count=0, weights=())
     _reject_unknown_keys(data, known)
-    sampler = data.get("sampler", "direct")
-    bandwidth = None
+    # the other known keys are fields: the dataclass supplies the defaults
+    # of those absent and rejects every bad value
+    fields = {key: value for key, value in data.items() if key not in ("count", "weights")}
+    sampler = fields.get("sampler")
     if isinstance(sampler, Mapping):
         _reject_unknown_keys(sampler, known["sampler"], "sampler.")
         rule = sampler.get("bandwidth_rule", "silverman")
         if rule not in (None, "silverman"):
             _check_bandwidth(rule)
-            bandwidth = float(rule)
-        sampler = sampler.get("type", "direct")
-    cfg = SynthesisConfig(
-        delta=data.get("delta", 60),
-        order=data.get("order", 1),
-        target_length=data.get("target_length", 1440),
-        sampler=str(sampler),
-        kde_bandwidth=bandwidth,
-        buffer=str(data.get("buffer", "tvmc")),
-        seed=data.get("seed", 0),
-        duration_pool=str(data.get("duration_pool", "window")),
-    )
+            fields["kde_bandwidth"] = float(rule)
+        del fields["sampler"]
+        if "type" in sampler:
+            fields["sampler"] = sampler["type"]
+    cfg = SynthesisConfig(**fields)
     count = data.get("count")
     if count is not None:
         _require_int("count", count)
@@ -242,7 +237,8 @@ class TvmcModel:
     """Empirical per-interval transition counts with daily wrap-around.
 
     ``fit(corpus, labels)`` counts each cluster's days apart: every array
-    has a leading cluster axis, of size 1 without labels.
+    has a leading cluster axis, of size 1 without labels (every day in
+    cluster 0).
     ``walk(start_states, t0, uniforms, cluster)`` advances every row in
     lockstep on its cluster's counts: row i starts from
     ``start_states[i]`` at interval ``t0 - 1`` and column k of
@@ -272,6 +268,7 @@ class TvmcModel:
         mat = corpus.states_matrix
         length = corpus.length
         n_states = corpus.alphabet.size
+        labels = _labels(corpus, labels)
         k = _cluster_count(labels)
         # flat cell index ((c*L + t)*S + prev)*S + cur, built in place in
         # one int64 matrix; prev[:, 0] wraps to the last interval
@@ -279,10 +276,8 @@ class TvmcModel:
         flat *= n_states
         flat += mat
         flat += np.arange(length) * (n_states * n_states)
-        first = mat[:, 0].astype(np.int64)
-        if labels is not None:
-            flat += (labels * (length * n_states * n_states))[:, None]
-            first += labels * n_states
+        flat += (labels * (length * n_states * n_states))[:, None]
+        first = labels * n_states + mat[:, 0]
         counts = np.bincount(
             flat.ravel(), minlength=k * length * n_states * n_states
         ).reshape(k, length, n_states, n_states)
@@ -316,9 +311,14 @@ class TvmcModel:
         return states, fallbacks
 
 
-def _cluster_count(labels: np.ndarray | None) -> int:
-    """Clusters ``0 .. labels.max()`` of a label vector; one without labels."""
-    return 1 if labels is None else int(labels.max()) + 1
+def _labels(corpus: Corpus, labels: np.ndarray | None) -> np.ndarray:
+    """``labels``, or every day of ``corpus`` in cluster 0 when None."""
+    return np.zeros(len(corpus), dtype=np.int64) if labels is None else labels
+
+
+def _cluster_count(labels: np.ndarray) -> int:
+    """Clusters ``0 .. labels.max()`` of a label vector (one when it is empty)."""
+    return int(labels.max(initial=0)) + 1
 
 
 def _categorical(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -485,14 +485,16 @@ def build_index(
 ) -> CandidateIndex:
     """Index every transition in the corpus for windowed lookup up to ``order``.
 
-    With ``labels``, each record is keyed by its row's cluster too, so a
-    query sees its own cluster's records only.  ``base``, an index of the
-    same corpus and labels at a lower order, keeps its runs: only the
-    runs of the orders above it are built and appended.
+    Each record is keyed by its row's cluster too (cluster 0 for every row
+    without ``labels``), so a query sees its own cluster's records only.
+    ``base``, an index of the same corpus and labels at a lower order,
+    keeps its runs: only the runs of the orders above it are built and
+    appended.
     """
     if len(corpus) == 0:
         raise DataFormatError("cannot index an empty corpus")
     n_states, horizon = corpus.alphabet.size, corpus.length
+    labels = _labels(corpus, labels)
     k = _cluster_count(labels)
     if k * sum(n_states**m for m in range(1, order + 1)) * horizon >= 2**63:
         raise DataFormatError(
@@ -511,7 +513,7 @@ def build_index(
     records = np.flatnonzero(ep_starts > 0)
     prev = np.stack([earlier(j)[records] for j in range(1, order + 1)], axis=1)
     starts = ep_starts[records]
-    cluster = np.zeros(records.size, dtype=np.int64) if labels is None else labels[rows[records]]
+    cluster = labels[rows[records]]
     keys, perms = ([], []) if base is None else ([base.keys], [base.records])
     for m in range(1 if base is None else base.order + 1, order + 1):
         has = np.flatnonzero(prev[:, m - 1] >= 0)
@@ -551,31 +553,28 @@ def silverman_bandwidth(values: np.ndarray) -> float:
 
 
 def extend_with_buffer(
-    corpus: Corpus, model: TvmcModel, delta: int, rng, labels: np.ndarray | None = None
+    corpus: Corpus, model: TvmcModel, delta: int, streams, labels: np.ndarray | None = None
 ) -> Corpus:
     """Continue every sequence for ``delta`` intervals with baseline steps.
 
-    ``model`` is the baseline fitted to ``corpus`` (and ``labels``).
-    Transition statistics for times past the end of the day wrap around
-    (interval ``t`` reuses the statistics of ``t mod length``).  The
-    original prefix of each sequence is unchanged.  Without labels,
-    ``rng`` is one stream and sequence i walks on the i-th row of one
-    uniform draw; with labels, ``rng`` holds one stream per cluster, and
-    the sequences of cluster c, in corpus order, walk on the rows of one
-    draw of ``rng[c]``.
+    ``model`` is the baseline fitted to ``corpus`` and ``labels`` (every
+    day in cluster 0 when None).  Transition statistics for times past the
+    end of the day wrap around (interval ``t`` reuses the statistics of
+    ``t mod length``).  The original prefix of each sequence is unchanged.
+    ``streams`` holds one stream per cluster (one without labels), and the
+    sequences of cluster c, in corpus order, walk on the rows of one
+    uniform draw of ``streams[c]``.
     """
     if delta == 0:
         return corpus
     mat = corpus.states_matrix
-    if labels is None:
-        uniforms = rng.random((len(corpus), delta))
-    else:
-        uniforms = np.empty((len(corpus), delta))
-        sizes = np.bincount(labels, minlength=len(rng)).tolist()
-        uniforms[np.argsort(labels, kind="stable")] = np.concatenate(
-            [stream.random((size, delta)) for stream, size in zip(rng, sizes)]
-        )
-    ext, _ = model.walk(mat[:, -1], corpus.length, uniforms, 0 if labels is None else labels)
+    labels = _labels(corpus, labels)
+    uniforms = np.empty((len(corpus), delta))
+    sizes = np.bincount(labels, minlength=len(streams)).tolist()
+    uniforms[np.argsort(labels, kind="stable")] = np.concatenate(
+        [stream.random((size, delta)) for stream, size in zip(streams, sizes)]
+    )
+    ext, _ = model.walk(mat[:, -1], corpus.length, uniforms, labels)
     return replace(corpus, states_matrix=np.hstack((mat, ext)))
 
 
@@ -618,12 +617,14 @@ class _Slot(NamedTuple):
 
 
 class _Source:
-    """The source-side model of one corpus, shared by every engine over it.
+    """The source-side model of one corpus and one label vector.
 
-    :func:`_source` keeps one per corpus object.  Every part is built for
-    the source's current cluster labels (one cluster without labels), the
-    first time an engine asks for it, and keys its counts, episodes and
-    records by cluster; an engine is only a view of these parts:
+    :func:`_source` keeps one per corpus object, for the labels of the
+    latest engine built over it.  The labels are fixed when the source is
+    made; an unclustered corpus is one cluster, every day in cluster 0.
+    Every part is built the first time an engine asks for it, and keys
+    its counts, episodes and records by cluster; an engine is only a view
+    of these parts:
 
     * the fitted :class:`TvmcModel`, whose opening-state counts pick a
       day's opening state;
@@ -639,38 +640,24 @@ class _Source:
       replaces the slot.  The index keeps its own by-state pools, so they
       go with it.
 
-    New labels drop every part.  This is sound because a ``Corpus`` is
-    frozen and owns a read-only matrix.  The source holds only a weak
-    reference to its corpus, which holds the source, so the two are
-    freed together.  Memory: the model and pools live as long as
-    the corpus and its labels.  The slot outlives the batch that built
-    it, so between batches memory holds at most one buffered corpus and
-    index per corpus beyond what a fresh build holds, whatever the
-    number of clusters.  A replaced slot is released before its
-    successor is built, and an extended index holds only the lower
-    orders' runs that its successor copies, so a build's peak does not
-    grow.
+    Other labels make a new source, which replaces this one with all its
+    parts.  Sharing is sound because a ``Corpus`` is frozen and owns a
+    read-only matrix.  The source holds only a weak reference to its
+    corpus, which holds the source, so the two are freed together.
+    Memory: the model and pools live as long as the corpus and its
+    labels.  The slot outlives the batch that built it, so between
+    batches memory holds at most one buffered corpus and index per corpus
+    beyond what a fresh build holds, whatever the number of clusters.  A
+    replaced slot is released before its successor is built, and an
+    extended index holds only the lower orders' runs that its successor
+    copies, so a build's peak does not grow.
     """
 
-    def __init__(self, corpus: Corpus):
+    def __init__(self, corpus: Corpus, labels: np.ndarray):
         self._corpus = weakref.ref(corpus)
-        self.labels: np.ndarray | None = None
-        self.n_clusters = 1
-        self._slot: _Slot | None = None
-
-    def assign(self, labels) -> None:
-        """Make ``labels`` (None for one cluster) the labels of every part."""
-        if np.array_equal(self.labels, labels):  # also when both are None
-            return
-        if labels is not None:
-            if len(labels) != len(self._corpus()):
-                raise DataFormatError("cluster labels do not match the corpus size")
-            labels = ClusterAssignment(labels).labels
-        for part in ("tvmc", "first", "all_day"):
-            self.__dict__.pop(part, None)
-        self._slot = None
         self.labels = labels
         self.n_clusters = _cluster_count(labels)
+        self._slot: _Slot | None = None
 
     @cached_property
     def tvmc(self) -> TvmcModel:
@@ -695,7 +682,7 @@ class _Source:
         if opening:
             first = starts == 0  # one per row
             rows, states, durations = rows[first], states[first], durations[first]
-        groups = states if self.labels is None else self.labels[rows] * n_states + states
+        groups = self.labels[rows] * n_states + states
         counts = np.bincount(groups, minlength=self.n_clusters * n_states)
         bounds = np.concatenate(([0], counts.cumsum()))
         return _Pool(durations[np.argsort(groups, kind="stable")], bounds)
@@ -714,16 +701,8 @@ class _Source:
         del slot  # a replaced index goes before the new one is built
         corpus = self._corpus()
         if buffered and ext is None:
-            streams = [
-                _stream(config.seed, _BUFFER_STREAM, c) for c in range(self.n_clusters)
-            ]
-            ext = extend_with_buffer(
-                corpus,
-                self.tvmc,
-                config.delta,
-                streams[0] if self.labels is None else streams,
-                self.labels,
-            )
+            streams = [_stream(config.seed, _BUFFER_STREAM, c) for c in range(self.n_clusters)]
+            ext = extend_with_buffer(corpus, self.tvmc, config.delta, streams, self.labels)
         index = build_index(
             corpus if ext is None else ext, config.delta, config.order, self.labels, base
         )
@@ -732,12 +711,20 @@ class _Source:
 
 
 def _source(corpus: Corpus, labels=None) -> _Source:
-    """The shared source model of ``corpus`` for ``labels``, created on first use."""
+    """The shared source model of ``corpus`` for ``labels`` (None: every day in cluster 0).
+
+    The corpus keeps one source, returned when its labels are equal and
+    otherwise replaced by a new source for these labels.
+    """
+    if labels is not None:
+        if len(labels) != len(corpus):
+            raise DataFormatError("cluster labels do not match the corpus size")
+        labels = ClusterAssignment(labels).labels
+    labels = _labels(corpus, labels)
     source = corpus.__dict__.get("_synth_source")
-    if source is None:
-        source = _Source(corpus)
+    if source is None or not np.array_equal(source.labels, labels):
+        source = _Source(corpus, labels)
         object.__setattr__(corpus, "_synth_source", source)
-    source.assign(labels)
     return source
 
 
@@ -1075,22 +1062,19 @@ class BatchProvenance:
         }
 
 
-def _resolve_assignment(
-    corpus: Corpus, assignment
-) -> np.ndarray | None:
-    """Per-sequence cluster vector aligned to corpus order, or None."""
+def _resolve_assignment(corpus: Corpus, assignment) -> ClusterAssignment | None:
+    """``assignment`` in corpus order, or None; an id -> label mapping is renumbered 0..k-1."""
     if assignment is None:
         return None
-    if isinstance(assignment, ClusterAssignment):
-        if assignment.n != len(corpus):
-            raise DataFormatError("assignment size does not match corpus")
-        return assignment.labels
-    labels = dict(assignment)
-    missing = [i for i in corpus.ids if i not in labels]
-    if missing:
-        raise DataFormatError(f"assignment missing ids: {missing[:5]}")
-    vec = np.array([int(labels[i]) for i in corpus.ids], dtype=np.int64)
-    return ClusterAssignment.from_labels(vec).labels
+    if not isinstance(assignment, ClusterAssignment):
+        labels = dict(assignment)
+        missing = [i for i in corpus.ids if i not in labels]
+        if missing:
+            raise DataFormatError(f"assignment missing ids: {missing[:5]}")
+        assignment = ClusterAssignment.from_labels([int(labels[i]) for i in corpus.ids])
+    if assignment.n != len(corpus):
+        raise DataFormatError("assignment size does not match corpus")
+    return assignment
 
 
 # worker state lives at module level so forked workers inherit it without
@@ -1184,15 +1168,15 @@ def synthesize_batch(
     _check_batch_size(count, config.target_length)
     _check_engine_inputs(corpus, config)
 
-    labels = _resolve_assignment(corpus, assignment)
-    if labels is None:
+    assignment = _resolve_assignment(corpus, assignment)
+    labels = cluster_weights = None
+    if assignment is None:
         if weights is not None:
             raise ConfigError("weights need a cluster assignment")
-        cluster_weights = None
     else:
-        k = _cluster_count(labels)
+        labels, k = assignment.labels, assignment.k
         if weights is None:
-            cluster_weights = ClusterWeights(np.bincount(labels, minlength=k).astype(np.float64))
+            cluster_weights = ClusterWeights.from_assignment(assignment)
         elif isinstance(weights, ClusterWeights):
             cluster_weights = weights
         else:
@@ -1202,44 +1186,45 @@ def synthesize_batch(
             except DataFormatError:
                 raise _weights_error(weights) from None
         if cluster_weights.k != k:
-            raise ConfigError(
-                f"{cluster_weights.k} weights given for {k} clusters"
-            )
+            raise ConfigError(f"{cluster_weights.k} weights given for {k} clusters")
 
     _worker_init(corpus, labels, config, engine, cluster_weights)
-    if workers == 1 or count == 0:
-        chunk_results = [_worker_chunk(range(count))]
-    else:
-        # warm the source before the pool starts so forked workers
-        # inherit it instead of rebuilding it per process
-        _ENGINE_CLASSES[engine](corpus, config, labels)
-        chunk_size = max(1, math.ceil(count / (workers * 4)))
-        chunks = [
-            range(lo, min(lo + chunk_size, count))
-            for lo in range(0, count, chunk_size)
-        ]
-        try:
-            ctx = multiprocessing.get_context("fork")
-            init, initargs = None, ()
-        except ValueError:
-            ctx = multiprocessing.get_context("spawn")
-            init = _worker_init
-            initargs = (corpus, labels, config, engine, cluster_weights)
-        # a worker's full collection would otherwise visit, and so copy,
-        # every object it inherits; a caller's own freeze is left alone
-        thaw = gc.get_freeze_count() == 0
-        if thaw:
-            gc.freeze()
-        try:
-            # every worker starts at once, so none is started without a chunk
-            with ProcessPoolExecutor(
-                min(workers, len(chunks)), mp_context=ctx, initializer=init, initargs=initargs
-            ) as pool:
-                chunk_results = list(pool.map(_worker_chunk, chunks))
-        finally:
+    try:
+        if workers == 1 or count == 0:
+            chunk_results = [_worker_chunk(range(count))]
+        else:
+            # warm the source before the pool starts so forked workers
+            # inherit it instead of rebuilding it per process
+            _ENGINE_CLASSES[engine](corpus, config, labels)
+            chunk_size = max(1, math.ceil(count / (workers * 4)))
+            chunks = [
+                range(lo, min(lo + chunk_size, count))
+                for lo in range(0, count, chunk_size)
+            ]
+            try:
+                ctx = multiprocessing.get_context("fork")
+                init, initargs = None, ()
+            except ValueError:
+                ctx = multiprocessing.get_context("spawn")
+                init = _worker_init
+                initargs = (corpus, labels, config, engine, cluster_weights)
+            # a worker's full collection would otherwise visit, and so copy,
+            # every object it inherits; a caller's own freeze is left alone
+            thaw = gc.get_freeze_count() == 0
             if thaw:
-                gc.unfreeze()
-    _WORKER.clear()
+                gc.freeze()
+            try:
+                # every worker starts at once, so none is started without a chunk
+                with ProcessPoolExecutor(
+                    min(workers, len(chunks)), mp_context=ctx, initializer=init,
+                    initargs=initargs,
+                ) as pool:
+                    chunk_results = list(pool.map(_worker_chunk, chunks))
+            finally:
+                if thaw:
+                    gc.unfreeze()
+    finally:  # a failed batch must not pin the corpus until the next one
+        _WORKER.clear()
 
     # pool.map keeps chunk order, so the rows arrive in ordinal order
     drawn, states, fallbacks = (np.concatenate(part) for part in zip(*chunk_results))

@@ -157,6 +157,38 @@ class TestCluster:
         assert summary["source"] == "user"
         assert seqio.load_cluster_labels(out / "assignment.csv") == labels
 
+    def test_user_labels_synthesize_as_synth_assignment(self, tmp_path, corpus_csv):
+        # a cluster stage read from a label file and synth --assignment
+        # resolve the same ids to the same clusters, so the batches match
+        corpus = seqio.load_corpus(corpus_csv)
+        labels = {sid: 10 + 5 * (i % 3) for i, sid in enumerate(corpus.ids)}
+        labels_path = tmp_path / "labels.csv"
+        seqio.save_cluster_labels(labels, labels_path)
+        cfg = {
+            "input": {"path": str(corpus_csv)},
+            "cluster": {"enabled": True, "labels_path": str(labels_path)},
+            "synth": {"delta": 30, "seed": 9, "count": 12, "engines": ["paired-mc"]},
+        }
+        cfg_path = tmp_path / "pipeline.json"
+        cfg_path.write_text(json.dumps(cfg))
+        staged, direct = tmp_path / "staged", tmp_path / "direct"
+        assert run_cli("pipeline", "--config", cfg_path, "--output", staged) == 0
+        code = run_cli(
+            "synth", "--corpus", corpus_csv, "--assignment", labels_path, "--delta", 30,
+            "--seed", 9, "--count", 12, "--output", direct,
+        )
+        assert code == 0
+        staged_synth = staged / "synth"
+        assert (staged_synth / "paired-mc.csv").read_bytes() == (direct / "synth.csv").read_bytes()
+        provenance = [
+            json.loads(path.read_text())
+            for path in (staged_synth / "paired-mc_provenance.json", direct / "synth_provenance.json")
+        ]
+        for payload in provenance:
+            del payload["config_hash"]
+        assert provenance[0] == provenance[1]
+        assert sorted({row["cluster"] for row in provenance[0]["sequences"]}) == [0, 1, 2]
+
 
 class TestSynth:
     def test_defaults_and_count(self, tmp_path, corpus_csv):

@@ -131,7 +131,7 @@ class TestBuffer:
         for c in range(3):
             part = _subset(corpus, labels, c)
             want = extend_with_buffer(
-                part, TvmcModel.fit(part), 20, np.random.default_rng(100 + c)
+                part, TvmcModel.fit(part), 20, [np.random.default_rng(100 + c)]
             )
             rows = np.flatnonzero(labels == c)
             assert np.array_equal(got.states_matrix[rows], want.states_matrix)

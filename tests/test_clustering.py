@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from seqsynth import (
     ClusterAssignment,
@@ -93,6 +96,42 @@ class TestDistanceMatrix:
         values[0, 1] = values[1, 0] = np.nan
         with pytest.raises(DataFormatError, match="finite"):
             DistanceMatrix(values)
+
+    def test_asymmetry_in_a_later_row_block_rejected(self):
+        # 600 rows span two row blocks of the checks
+        values = np.zeros((600, 600))
+        values[550, 10] = 1e-8
+        with pytest.raises(DataFormatError, match="symmetric"):
+            DistanceMatrix(values)
+        values[550, 10] = 1e-10  # within the 1e-9 tolerance
+        DistanceMatrix(values)
+
+    def test_caller_arrays_are_copied(self):
+        values = np.array([[0.0, 1.0], [1.0, 0.0]])
+        frozen = np.array(values)
+        frozen.setflags(write=False)
+        for given_ in (values, frozen[:, :], values.tolist()):
+            d = DistanceMatrix(given_)
+            assert d.values is not given_ and not d.values.flags.writeable
+        copied = DistanceMatrix(values)
+        values[0, 1] = values[1, 0] = 5.0
+        assert copied.values[0, 1] == 1.0
+        # a read-only array that owns its data is kept as it is
+        assert DistanceMatrix(frozen).values is frozen
+
+    def test_peak_memory_at_a_thousand_days(self):
+        # the cluster-1000 shape: the matrix (8 MB) and the distance kernel's
+        # buffers set the peak; the checks add O(row block), not n x n copies
+        rng = np.random.default_rng(12)
+        corpus = Corpus.from_arrays(StateAlphabet(tuple("abcd")), rng.integers(0, 4, (1000, 1440)))
+        tracemalloc.start()
+        try:
+            d = pairwise_distance(corpus)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert d.n == 1000
+        assert peak < 20e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 class TestHierarchicalCluster:
@@ -257,6 +296,25 @@ class TestSampleCluster:
     def test_all_zero_rejected(self):
         with pytest.raises(DataFormatError, match="all-zero"):
             ClusterWeights(np.zeros(3))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        positive=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=6),
+        zeros_at=st.lists(st.integers(0, 6), max_size=4),
+        trailing=st.integers(0, 3),
+        u=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    # these weights sum to 0.9999999999999999 once normalized
+    @example(positive=[0.1, 0.2, 0.3], zeros_at=[], trailing=1, u=0.5)
+    def test_zero_weight_cluster_never_drawn(self, positive, zeros_at, trailing, u):
+        weights = list(positive)
+        for at in zeros_at:
+            weights.insert(at % (len(weights) + 1), 0.0)
+        weights += [0.0] * trailing
+        w = ClusterWeights(np.array(weights))
+        # the smallest and largest doubles rng.random() returns, and one more
+        drawn = w.choose(np.array([0.0, 1.0 - 2.0**-53, u]))
+        assert (w.weights[drawn] > 0).all(), (weights, drawn)
 
     def test_frequencies_track_weights(self):
         rng = np.random.default_rng(11)

@@ -304,7 +304,7 @@ class OracleEngine:
             rng = np.random.default_rng(
                 np.random.SeedSequence((config.seed, _BUFFER_STREAM, stream_key))
             )
-            buffered = extend_with_buffer(corpus, self.tvmc, config.delta, rng)
+            buffered = extend_with_buffer(corpus, self.tvmc, config.delta, [rng])
             self.stop = self.n + config.delta
         else:
             buffered = corpus

@@ -17,7 +17,7 @@ import pytest
 from seqsynth import Corpus, SynthesisConfig, synthesize_batch
 from seqsynth import synth
 from seqsynth.clustering import ClusterAssignment
-from seqsynth.errors import ConfigError
+from seqsynth.errors import ConfigError, DataFormatError
 
 from _groundtruth import activity_ground_truth
 
@@ -93,6 +93,47 @@ def test_two_workers_match_fresh_serial_build(assignment):
         SynthesisConfig(delta=30, order=1, target_length=LENGTH, seed=3, sampler="kde"),
     ):
         _assert_matches_fresh(shared, config, assignment=clusters, workers=2)
+
+
+def test_zero_labels_are_the_unclustered_source():
+    # an unclustered corpus is one cluster: all-zero labels find the same
+    # source, with every part it has built, and the same output
+    corpus = _corpus()
+    config = SynthesisConfig(delta=30, order=2, target_length=LENGTH, seed=8, sampler="kde")
+    plain = synth.PairedMcEngine(corpus, config)
+    source = synth._source(corpus)
+    zeros = np.zeros(len(corpus), dtype=int)
+    assert synth._source(corpus, zeros) is source
+    zero = synth.PairedMcEngine(corpus, config, zeros)
+    assert zero.tvmc is plain.tvmc and zero.index is plain.index
+    assert synth._source(corpus) is source and source._slot.index is plain.index
+
+    def streams():
+        return [np.random.default_rng(i) for i in range(COUNT)]
+
+    got, want = zero.generate_many(streams()), plain.generate_many(streams())
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    _assert_matches_fresh(corpus, config, assignment=ClusterAssignment(zeros))
+
+
+def test_other_labels_replace_the_source():
+    shared = _corpus()
+    clusters = ClusterAssignment(np.arange(len(shared)) % 3)
+    config = SynthesisConfig(delta=30, order=2, target_length=LENGTH, seed=6)
+    sources = []
+    for assignment in (clusters, None, clusters):
+        _assert_matches_fresh(shared, config, assignment=assignment)
+        source = vars(shared)["_synth_source"]
+        want = np.zeros(len(shared)) if assignment is None else assignment.labels
+        assert np.array_equal(source.labels, want)
+        assert all(source is not earlier for earlier in sources)
+        sources.append(source)
+
+
+def test_labels_must_match_the_corpus_size():
+    corpus = _corpus()
+    with pytest.raises(DataFormatError, match="do not match the corpus size"):
+        synth._source(corpus, np.zeros(len(corpus) - 1, dtype=int))
 
 
 def test_used_corpus_pickles_like_an_unused_one():

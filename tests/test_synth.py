@@ -390,7 +390,7 @@ class TestBuffer:
         alphabet = two_state_alphabet()
         corpus = Corpus.from_arrays(alphabet, [[0] * 50, [0] * 50])
         rng = np.random.default_rng(23)
-        extended = extend_with_buffer(corpus, TvmcModel.fit(corpus), 10, rng)
+        extended = extend_with_buffer(corpus, TvmcModel.fit(corpus), 10, [rng])
         assert extended.length == 60
         assert (extended.states_matrix == 0).all()
 
@@ -398,7 +398,7 @@ class TestBuffer:
         rng_data = np.random.default_rng(24)
         corpus = random_corpus(rng_data, n_seq=6, length=70)
         rng = np.random.default_rng(25)
-        extended = extend_with_buffer(corpus, TvmcModel.fit(corpus), 15, rng)
+        extended = extend_with_buffer(corpus, TvmcModel.fit(corpus), 15, [rng])
         assert extended.length == 85
         assert np.array_equal(extended.states_matrix[:, :70], corpus.states_matrix)
         assert extended.ids == corpus.ids
@@ -406,7 +406,7 @@ class TestBuffer:
     def test_zero_delta_is_noop(self):
         corpus = random_corpus(np.random.default_rng(26), n_seq=3, length=30)
         model = TvmcModel.fit(corpus)
-        assert extend_with_buffer(corpus, model, 0, np.random.default_rng(0)) is corpus
+        assert extend_with_buffer(corpus, model, 0, [np.random.default_rng(0)]) is corpus
 
     def test_buffer_supplies_late_window_candidates(self):
         # queries near the end of the day need transitions observed past
@@ -739,6 +739,20 @@ class TestBatch:
         assert sizes == [2]
         assert pooled == serial
 
+    @pytest.mark.parametrize("engine", ["paired-mc", "tvmc"])
+    def test_failed_batch_releases_the_worker_state(self, monkeypatch, engine):
+        # a chunk that raises must not leave the corpus pinned until the next batch
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("chunk")
+
+        cls = synth._ENGINE_CLASSES[engine]
+        monkeypatch.setattr(cls, "generate_many", out_of_memory)
+        corpus = activity_ground_truth(10, 60, seed=95)
+        config = SynthesisConfig(delta=10, target_length=60, seed=20)
+        with pytest.raises(MemoryError):
+            synthesize_batch(corpus, config, 4, engine=engine)
+        assert synth._WORKER == {}
+
     def test_ordinal_streams_are_stable_under_count(self):
         # sequence i is identical whether the batch stops at i+1 or later
         corpus = activity_ground_truth(15, 90, seed=49)
@@ -825,3 +839,18 @@ class TestConfig:
         assert count is None and weights is None
         parsed, _, _ = config_from_dict({"sampler": {"type": "kde"}})
         assert parsed.sampler == "kde" and parsed.kde_bandwidth is None
+        parsed, _, _ = config_from_dict({"sampler": {"bandwidth_rule": 2.0}})
+        assert parsed.sampler == "direct" and parsed.kde_bandwidth == 2.0
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"buffer": 5}, "unknown buffer strategy 5$"),
+            ({"duration_pool": None}, "unknown duration pool None$"),
+            ({"sampler": ["kde"]}, r"unknown sampler \['kde'\]$"),
+            ({"sampler": {"type": 1}}, "unknown sampler 1$"),
+        ],
+    )
+    def test_dict_choices_are_not_coerced_to_strings(self, payload, message):
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict(payload)
