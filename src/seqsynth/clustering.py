@@ -136,6 +136,16 @@ class Dendrogram:
         return labels
 
 
+def _integer_labels(labels) -> np.ndarray:
+    """``labels`` as a new int64 array; a fraction, NaN, inf or non-number is rejected."""
+    arr = np.asarray(labels)
+    with np.errstate(invalid="ignore"):  # NaN, inf and out-of-range floats cast to junk
+        ints = arr.astype(np.int64) if arr.dtype.kind in "iuf" else None
+    if ints is None or not np.array_equal(ints, arr):
+        raise DataFormatError(f"cluster labels must be integers, got {arr!r}")
+    return ints
+
+
 @dataclass(frozen=True, eq=False)
 class ClusterAssignment:
     """Cluster index per sequence; labels must use every value in [0, k)."""
@@ -143,9 +153,10 @@ class ClusterAssignment:
     labels: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.labels, dtype=np.int64, copy=True)
+        arr = np.asarray(self.labels)
         if arr.ndim != 1 or arr.size == 0:
             raise DataFormatError("cluster labels must be a non-empty 1-D vector")
+        arr = _integer_labels(arr)
         if arr.min() < 0:
             raise DataFormatError("cluster labels must be non-negative")
         k = int(arr.max()) + 1
@@ -173,7 +184,7 @@ class ClusterAssignment:
     @classmethod
     def from_labels(cls, labels: Sequence[int]) -> "ClusterAssignment":
         """Remap arbitrary integer labels to contiguous 0..k-1 (sorted order)."""
-        return cls(np.unique(np.asarray(labels, dtype=np.int64), return_inverse=True)[1])
+        return cls(np.unique(_integer_labels(labels), return_inverse=True)[1])
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,10 +1,13 @@
 """Statistical comparison of synthesized corpora against a source corpus.
 
-Four summary views of a corpus are compared: per-sequence episode counts
-(overall and per state), per-episode state durations, per-sequence
-combined state durations, and per-sequence entropies.  Distribution
-similarity is quantified with the two-sample Kolmogorov-Smirnov test,
-and ECDF curves plus percentile differences are emitted for plotting.
+Each corpus is summarized once, from its episode table, and four views
+are slices of that summary: per-sequence episode counts (overall and per
+state), per-episode state durations, per-sequence combined state
+durations, and per-sequence entropies.  Each duration row and the
+entropies are compared through one set of ECDF curves on the pooled grid
+of observed values; a method's two-sample Kolmogorov-Smirnov D is its
+largest ECDF gap to the original there.  The curves are also written for
+plotting, named after the rows and samples, so those names must differ.
 
 Entropy here is the Shannon entropy (natural log) of the within-sequence
 state time-share distribution, so it ranges from 0 (single state) to
@@ -18,7 +21,7 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -89,15 +92,17 @@ def ks_asymptotic_pvalue(d: float, n1: int, n2: int) -> float:
     return min(max(2.0 * total, 0.0), 1.0)
 
 
+def _ks(difference: np.ndarray, n1: int, n2: int) -> tuple[float, float]:
+    """KS d and p from two ECDFs' difference on a grid holding both samples
+    (between grid points both ECDFs are constant)."""
+    d = float(np.abs(difference).max())
+    return d, ks_asymptotic_pvalue(d, n1, n2)
+
+
 def ks_two_sample(x, y) -> KsResult:
     """Two-sample KS test: sup-norm distance between empirical CDFs."""
-    xs = _sorted_sample(x)
-    ys = _sorted_sample(y)
-    pooled = np.concatenate((xs, ys))
-    cdf_x = np.searchsorted(xs, pooled, side="right") / xs.size
-    cdf_y = np.searchsorted(ys, pooled, side="right") / ys.size
-    d = float(np.abs(cdf_x - cdf_y).max())
-    return KsResult(d, ks_asymptotic_pvalue(d, xs.size, ys.size), xs.size, ys.size)
+    n1, n2 = np.size(x), np.size(y)
+    return KsResult(*_ks(ecdf_curves(x, {"y": y}).differences["y"], n1, n2), n1, n2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,6 +121,34 @@ class DurationSample:
         object.__setattr__(self, "values", arr)
 
 
+class _Summary(NamedTuple):
+    """One corpus read once: its episodes and two (day, state) count tables."""
+
+    states: np.ndarray  # state of each episode, in episode-table order
+    durations: np.ndarray  # length of each episode
+    time: np.ndarray  # (n_days, S): intervals each day spends in each state
+    episodes: np.ndarray  # (n_days, S): episodes each day has of each state
+
+
+def _summarize(corpus: Corpus) -> _Summary:
+    rows, _, states, durations = episode_table(corpus.states_matrix)
+    n, size = len(corpus), corpus.alphabet.size
+    cells = rows * size + states
+    # float weights sum integer durations exactly (each total is at most the length)
+    time = np.bincount(cells, weights=durations, minlength=n * size).astype(np.int64)
+    episodes = np.bincount(cells, minlength=n * size)
+    return _Summary(states, durations, time.reshape(n, size), episodes.reshape(n, size))
+
+
+def _durations(summary: _Summary, mode: str, idx: int | None, exclude_zero: bool) -> np.ndarray:
+    """State ``idx``'s durations per episode (``individual``; every state's
+    when ``idx`` is None) or per day (``combined``)."""
+    if mode == "individual":
+        return summary.durations if idx is None else summary.durations[summary.states == idx]
+    values = summary.time[:, idx]
+    return values[values > 0] if exclude_zero else values
+
+
 def episode_durations(
     corpus: Corpus, state: str, mode: str = "individual", exclude_zero: bool = False
 ) -> DurationSample:
@@ -126,38 +159,50 @@ def episode_durations(
     sequences that never visit it).
     """
     idx = corpus.alphabet.index(state)
-    if mode == "individual":
-        _, _, ep_states, ep_durs = episode_table(corpus.states_matrix)
-        values = ep_durs[ep_states == idx]
-    elif mode == "combined":
-        values = (corpus.states_matrix == idx).sum(axis=1)
-        if exclude_zero:
-            values = values[values > 0]
-    else:
-        raise DataFormatError(f"unknown duration mode {mode!r}")
-    return DurationSample(state, mode, values)
-
-
-def _entropy(states: np.ndarray) -> float:
-    counts = np.bincount(states)
-    shares = counts[counts > 0] / states.size
-    return float(-(shares * np.log(shares)).sum())
+    # DurationSample rejects an unknown mode
+    return DurationSample(state, mode, _durations(_summarize(corpus), mode, idx, exclude_zero))
 
 
 def sequence_entropy(seq: IntervalSequence) -> float:
     """Shannon entropy (nats) of the sequence's state time shares."""
-    return _entropy(seq.states)
+    counts = np.bincount(seq.states)
+    shares = counts[counts > 0] / seq.states.size
+    return float(-(shares * np.log(shares)).sum())
+
+
+def _entropies(summary: _Summary) -> np.ndarray:
+    """:func:`sequence_entropy` of every day, from the summary's time table.
+
+    Days that visit the same number of states are done as one matrix, so
+    each day's nonzero shares are summed in state order by the same
+    pairwise sum as a lone day's, bit for bit.
+    """
+    visited = summary.time > 0
+    width = visited.sum(axis=1)
+    out = np.empty(width.size)
+    for k in np.unique(width):
+        days = width == k
+        counts = summary.time[days][visited[days]].reshape(-1, k)
+        shares = counts / counts.sum(axis=1, keepdims=True)  # each day's total is its length
+        out[days] = -(shares * np.log(shares)).sum(axis=1)
+    return out
 
 
 def corpus_entropies(corpus: Corpus) -> np.ndarray:
     """:func:`sequence_entropy` of every row of the corpus matrix."""
-    return np.array([_entropy(row) for row in corpus.states_matrix])
+    return _entropies(_summarize(corpus))
 
 
 def _mean_sd(values: np.ndarray) -> tuple[float, float]:
     mean = float(np.mean(values)) if values.size else math.nan
     sd = float(np.std(values, ddof=1)) if values.size > 1 else 0.0
     return mean, sd
+
+
+def _count_stats(summary: _Summary, idx: int | None) -> tuple[float, float]:
+    """Mean and SD of each day's episodes of state ``idx`` (of all states if None)."""
+    counts = summary.episodes
+    return _mean_sd(counts.sum(axis=1) if idx is None else counts[:, idx])
 
 
 def episode_count_stats(
@@ -167,16 +212,10 @@ def episode_count_stats(
 
     Keys are ``Overall`` plus, when requested, each alphabet label.
     """
-    rows, _, states, _ = episode_table(corpus.states_matrix)
+    summary = _summarize(corpus)
     labels = corpus.alphabet.labels if per_state else ()
-    return _episode_counts(rows, states, len(corpus), labels)
-
-
-def _episode_counts(rows, states, n_rows, labels) -> dict[str, tuple[float, float]]:
-    """``episode_count_stats`` from an episode table's rows and states."""
-    out = {OVERALL: _mean_sd(np.bincount(rows, minlength=n_rows))}
-    for idx, label in enumerate(labels):
-        out[label] = _mean_sd(np.bincount(rows[states == idx], minlength=n_rows))
+    out = {OVERALL: _count_stats(summary, None)}
+    out.update((label, _count_stats(summary, idx)) for idx, label in enumerate(labels))
     return out
 
 
@@ -194,31 +233,28 @@ def ecdf_curves(original, methods: Mapping[str, Sequence]) -> EcdfCurves:
     """Evaluate every sample's ECDF on the pooled grid of observed values.
 
     The difference series is original minus method at each grid point
-    (a percentile-difference curve); no smoothing is applied.
+    (a percentile-difference curve); no smoothing is applied.  Its
+    largest absolute value is the method's two-sample KS D.
     """
     if not methods:
         raise DataFormatError("need at least one method sample")
     orig = _sorted_sample(original)
-    sorted_methods = {name: _sorted_sample(v) for name, v in methods.items()}
-    grid = np.unique(np.concatenate([orig] + list(sorted_methods.values())))
+    samples = {name: _sorted_sample(v) for name, v in methods.items()}
+    grid = np.unique(np.concatenate([orig, *samples.values()]))
     orig_cdf = np.searchsorted(orig, grid, side="right") / orig.size
-    method_cdfs = {}
-    diffs = {}
-    for name, sample in sorted_methods.items():
-        cdf = np.searchsorted(sample, grid, side="right") / sample.size
-        method_cdfs[name] = cdf
-        diffs[name] = orig_cdf - cdf
-    return EcdfCurves(grid, orig_cdf, method_cdfs, diffs)
+    cdfs = {name: np.searchsorted(v, grid, side="right") / v.size for name, v in samples.items()}
+    return EcdfCurves(grid, orig_cdf, cdfs, {name: orig_cdf - c for name, c in cdfs.items()})
+
+
+def _top_states(summary: _Summary, alphabet, k: int) -> tuple[str, ...]:
+    totals = summary.time.sum(axis=0)
+    order = np.argsort(-totals, kind="stable")  # stable: ties keep label order
+    return tuple(alphabet.label(int(i)) for i in order[:k] if totals[i] > 0)
 
 
 def top_states(corpus: Corpus, k: int = 5) -> tuple[str, ...]:
     """The k most prevalent states by total time, most prevalent first."""
-    totals = np.bincount(
-        corpus.states_matrix.ravel(), minlength=corpus.alphabet.size
-    )
-    order = np.argsort(-totals, kind="stable")  # stable: ties keep label order
-    picked = [int(i) for i in order[: min(k, corpus.alphabet.size)] if totals[i] > 0]
-    return tuple(corpus.alphabet.label(i) for i in picked)
+    return _top_states(_summarize(corpus), corpus.alphabet, k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,24 +288,9 @@ class EvaluationReport:
         }
 
 
-def _column_stats(values: np.ndarray, original: np.ndarray | None) -> dict:
-    out: dict = {"n": int(values.size)}
-    if values.size:
-        mean, sd = _mean_sd(values)
-        out["mean"] = mean
-        out["sd"] = sd
-    else:
-        out["mean"] = None  # undefined on an empty sample; None keeps JSON strict
-        out["sd"] = None
-    if original is not None:
-        if values.size and original.size:
-            ks = ks_two_sample(original, values)
-            out["d"] = ks.d
-            out["p"] = ks.p
-        else:
-            out["d"] = None
-            out["p"] = None
-    return out
+def _column_stats(values: np.ndarray) -> dict:
+    mean, sd = _mean_sd(values) if values.size else (None, None)  # None keeps JSON strict
+    return {"n": int(values.size), "mean": mean, "sd": sd}
 
 
 def _apply_range(values: np.ndarray, bounds) -> np.ndarray:
@@ -288,7 +309,8 @@ def build_report(
 ) -> EvaluationReport:
     """Compare method corpora against the original on all four metrics.
 
-    ``states`` defaults to the five most prevalent states by total time.
+    ``states`` defaults to the five most prevalent states by total time;
+    a state named twice is rejected.
     ``exclude_zero_combined`` drops days that never visit a state from
     that state's combined-duration sample; pass a per-state mapping to
     control individual states (unlisted states default to excluded).
@@ -306,92 +328,54 @@ def build_report(
             raise DataFormatError(f"method {name!r} alphabet differs from original")
         if corpus.length != original.length:
             raise DataFormatError(f"method {name!r} length differs from original")
+    summaries = {"original": _summarize(original)}
+    summaries.update((name, _summarize(c)) for name, c in methods.items())
     if states is None:
-        states = top_states(original)
-    else:
-        states = tuple(states)
-        for s in states:
-            original.alphabet.index(s)
-    method_names = tuple(methods)
+        states = _top_states(summaries["original"], original.alphabet, 5)
+    states = tuple(states)
+    rows = {None: None, **{s: original.alphabet.index(s) for s in states}}
+    if len(rows) != len(states) + 1:
+        raise DataFormatError(f"repeated state label in {list(states)!r}")
     ranges = dict(duration_ranges or {})
     if isinstance(exclude_zero_combined, Mapping):
         zero_note: object = dict(exclude_zero_combined)
+        drop_zero = {s: bool(zero_note.get(s, True)) for s in states}
     else:
         zero_note = bool(exclude_zero_combined)
+        drop_zero = dict.fromkeys(states, zero_note)
 
-    def excludes_zero(state: str) -> bool:
-        if isinstance(zero_note, dict):
-            return bool(zero_note.get(state, True))
-        return zero_note
+    def sample(summary: _Summary, view: str, state: str | None) -> np.ndarray:
+        if view == "entropy":
+            return _entropies(summary)
+        drop = view == "combined" and drop_zero[state]
+        return _apply_range(_durations(summary, view, rows[state], drop), ranges.get(state))
 
-    corpora = {"original": original, **methods}
-    tables = {name: episode_table(c.states_matrix) for name, c in corpora.items()}
+    # combined over all states is the constant sequence length, so it has no Overall row
+    views = [("individual", None)] + [("individual", s) for s in states]
+    views += [("combined", s) for s in states] + [("entropy", None)]
+    tables: dict = {"individual": {}, "combined": {}, "entropy": {}}
+    curves: dict[str, dict[str, EcdfCurves]] = {view: {} for view in tables}
+    for view, state in views:
+        key = OVERALL if state is None else state
+        samples = {name: sample(s, view, state) for name, s in summaries.items()}
+        orig = samples.pop("original")
+        present = {name: v for name, v in samples.items() if v.size}
+        gaps = {}
+        if orig.size and present:
+            curves[view][key] = ecdf_curves(orig, present)
+            gaps = curves[view][key].differences
+        columns = tables[view][key] = {"original": _column_stats(orig)}
+        for name, values in samples.items():
+            d, p = _ks(gaps[name], orig.size, values.size) if name in gaps else (None, None)
+            columns[name] = {**_column_stats(values), "d": d, "p": p}
 
-    def individual_values(name: str, state: str | None) -> np.ndarray:
-        _, _, ep_states, ep_durs = tables[name]
-        if state is None:
-            values = ep_durs
-        else:
-            values = ep_durs[ep_states == original.alphabet.index(state)]
-        return _apply_range(values, ranges.get(state))
-
-    def combined_values(name: str, state: str) -> np.ndarray:
-        idx = original.alphabet.index(state)
-        values = (corpora[name].states_matrix == idx).sum(axis=1)
-        if excludes_zero(state):
-            values = values[values > 0]
-        return _apply_range(values, ranges.get(state))
-
-    individual: dict = {}
-    combined: dict = {}
-    curves: dict[str, dict[str, EcdfCurves]] = {"individual": {}, "combined": {}}
-    rows: list[str | None] = [None] + list(states)
-    for row in rows:
-        key = OVERALL if row is None else row
-        orig_ind = individual_values("original", row)
-        individual[key] = {"original": _column_stats(orig_ind, None)}
-        method_ind = {}
-        for name in method_names:
-            values = individual_values(name, row)
-            individual[key][name] = _column_stats(values, orig_ind)
-            if values.size:
-                method_ind[name] = values
-        if orig_ind.size and method_ind:
-            curves["individual"][key] = ecdf_curves(orig_ind, method_ind)
-        if row is None:
-            continue  # combined over all states is the constant sequence length
-        orig_comb = combined_values("original", row)
-        combined[key] = {"original": _column_stats(orig_comb, None)}
-        method_comb = {}
-        for name in method_names:
-            values = combined_values(name, row)
-            combined[key][name] = _column_stats(values, orig_comb)
-            if values.size:
-                method_comb[name] = values
-        if orig_comb.size and method_comb:
-            curves["combined"][key] = ecdf_curves(orig_comb, method_comb)
-
-    counts: dict = {}
-    count_tables = {
-        name: _episode_counts(table[0], table[2], len(corpora[name]), original.alphabet.labels)
-        for name, table in tables.items()
-    }
-    for key in [OVERALL] + list(states):
-        counts[key] = {
-            name: {"mean": table[key][0], "sd": table[key][1]}
-            for name, table in count_tables.items()
+    counts = {
+        OVERALL if state is None else state: {
+            name: dict(zip(("mean", "sd"), _count_stats(summary, idx)))
+            for name, summary in summaries.items()
         }
-
-    entropies = {name: corpus_entropies(c) for name, c in corpora.items()}
-    entropy: dict = {"original": _column_stats(entropies["original"], None)}
-    for name in method_names:
-        entropy[name] = _column_stats(entropies[name], entropies["original"])
-    curves["entropy"] = {
-        OVERALL: ecdf_curves(
-            entropies["original"], {n: entropies[n] for n in method_names}
-        )
+        for state, idx in rows.items()
     }
-
     metadata = {
         "entropy_definition": "shannon entropy (natural log) of state time shares",
         "combined_excludes_zero": zero_note,
@@ -400,20 +384,24 @@ def build_report(
         "n_methods": {name: len(c) for name, c in methods.items()},
     }
     return EvaluationReport(
-        tuple(states),
-        method_names,
-        individual,
-        combined,
-        counts,
-        entropy,
-        curves,
-        metadata,
+        states, tuple(methods), tables["individual"], tables["combined"], counts,
+        tables["entropy"][OVERALL], curves, metadata,
     )
 
 
 def _slug(text: str) -> str:
     slug = re.sub(r"[^A-Za-z0-9]+", "-", text).strip("-").lower()
     return slug or "state"
+
+
+def _check_slugs(names: Sequence[str]) -> None:
+    """Reject two names of one slug; ECDF files are ``<kind>_<row>_<sample>``
+    of slugs, which hold no ``_``, so no other names can collide."""
+    seen: dict[str, str] = {}
+    for name in names:
+        slug = _slug(name)
+        if (other := seen.setdefault(slug, name)) != name:
+            raise DataFormatError(f"{other!r} and {name!r} share the ECDF file name {slug!r}")
 
 
 def _fmt(value) -> str:
@@ -440,8 +428,11 @@ def write_report(report: EvaluationReport, outdir, config_hash: str | None = Non
 
     ECDF files are ``ecdf/<kind>_<state>_<method>.csv`` with columns
     ``grid,value`` plus a ``_diff`` companion holding original-minus-
-    method percentile differences.  All output is deterministic.
+    method percentile differences.  All output is deterministic.  Two
+    rows or two samples of one slug are rejected before anything is written.
     """
+    _check_slugs((OVERALL, *report.states))
+    _check_slugs(("original", *report.methods))
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     payload = report.to_dict()
@@ -476,16 +467,10 @@ def write_report(report: EvaluationReport, outdir, config_hash: str | None = Non
         for state, curves in by_state.items():
             base = f"{kind}_{_slug(state)}"
             _write_curve(ecdf_dir / f"{base}_original.csv", curves.grid, curves.original)
-            for name in curves.methods:
-                slug = _slug(name)
-                _write_curve(
-                    ecdf_dir / f"{base}_{slug}.csv", curves.grid, curves.methods[name]
-                )
-                _write_curve(
-                    ecdf_dir / f"{base}_{slug}_diff.csv",
-                    curves.grid,
-                    curves.differences[name],
-                )
+            for name, cdf in curves.methods.items():
+                stem = f"{base}_{_slug(name)}"
+                _write_curve(ecdf_dir / f"{stem}.csv", curves.grid, cdf)
+                _write_curve(ecdf_dir / f"{stem}_diff.csv", curves.grid, curves.differences[name])
 
 
 def _write_curve(path: Path, grid: np.ndarray, values: np.ndarray) -> None:

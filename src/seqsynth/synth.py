@@ -1071,7 +1071,7 @@ def _resolve_assignment(corpus: Corpus, assignment) -> ClusterAssignment | None:
         missing = [i for i in corpus.ids if i not in labels]
         if missing:
             raise DataFormatError(f"assignment missing ids: {missing[:5]}")
-        assignment = ClusterAssignment.from_labels([int(labels[i]) for i in corpus.ids])
+        assignment = ClusterAssignment.from_labels([labels[i] for i in corpus.ids])
     if assignment.n != len(corpus):
         raise DataFormatError("assignment size does not match corpus")
     return assignment

@@ -463,6 +463,19 @@ class TestSweep:
         assert "delta" in err["message"]
         assert not (out / "sweep.json").exists()
 
+    def test_repeated_state_is_data_error(self, tmp_path, corpus_csv, capsys):
+        # each sweep.csv row was once written twice
+        out = tmp_path / "out"
+        code = run_cli(
+            "sweep", "--corpus", corpus_csv, "--deltas", "30", "--orders", "1",
+            "--seed", 16, "--count", 4, "--states", "rest,rest", "--output", out,
+        )
+        assert code == cli.EXIT_DATA
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DataFormatError"
+        assert "repeated state" in err["message"]
+        assert not out.exists() or not any(out.iterdir())
+
     def test_single_cell_matches_synth_plus_eval(self, tmp_path, corpus_csv):
         sweep_out = tmp_path / "sweep"
         code = run_cli(

@@ -324,6 +324,24 @@ class TestSampleCluster:
         assert freq == pytest.approx(w.normalized(), abs=0.015)
 
 
+class TestAssignmentLabels:
+    @pytest.mark.parametrize(
+        "labels",
+        [[0.9, 1.7, 0.2], [0, 1, math.nan], [0, math.inf], ["0", "1"], [0, None], [True, False]],
+    )
+    def test_non_integer_labels_rejected(self, labels):
+        # [0.9, 1.7, 0.2] was once truncated to clusters [0, 1, 0]
+        with pytest.raises(DataFormatError, match="cluster labels must be"):
+            ClusterAssignment(labels)
+        with pytest.raises(DataFormatError, match="cluster labels must be"):
+            ClusterAssignment.from_labels(labels)
+
+    def test_integral_values_accepted(self):
+        for labels in ([0, 1, 0], [0.0, 1.0, 0.0], np.array([0, 1, 0], dtype=np.uint8)):
+            assert ClusterAssignment(labels).labels.tolist() == [0, 1, 0]
+        assert ClusterAssignment.from_labels([7.0, -2, 7]).labels.tolist() == [1, 0, 1]
+
+
 class TestDendrogramValidation:
     def test_merge_count_enforced(self):
         with pytest.raises(DataFormatError):

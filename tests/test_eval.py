@@ -19,6 +19,7 @@ from seqsynth import (
     top_states,
     write_report,
 )
+from seqsynth.core import run_bounds
 from seqsynth.evaluate import corpus_entropies
 
 from _groundtruth import activity_ground_truth
@@ -100,6 +101,20 @@ class TestKs:
         x = np.zeros(5000)
         y = np.ones(5000)
         assert ks_two_sample(x, y).p == 0.0
+
+    def test_several_methods_on_one_grid_give_each_pair_its_d(self):
+        # build_report reads every method's D from one shared ECDF grid
+        rng = np.random.default_rng(66)
+        for _ in range(300):
+            x = rng.integers(0, 15, rng.integers(1, 40)).astype(float)
+            methods = {
+                f"m{i}": rng.integers(0, 15, rng.integers(1, 40)).astype(float)
+                for i in range(rng.integers(1, 4))
+            }
+            curves = ecdf_curves(x, methods)
+            for name, y in methods.items():
+                d = float(np.abs(curves.differences[name]).max())
+                assert d == ks_two_sample(x, y).d == brute_ks_d(x, y)
 
 
 class TestDurations:
@@ -305,3 +320,172 @@ class TestReport:
         ents = corpus_entropies(corpus)
         assert ents.shape == (8,)
         assert (ents >= 0).all()
+
+
+def _runs_corpus(rng, n_states, n_days, length, mean_run, allowed=None):
+    """Days of geometric runs over ``allowed`` states (default all)."""
+    alphabet = StateAlphabet(tuple(f"s{i}" for i in range(n_states)))
+    allowed = np.arange(n_states) if allowed is None else np.asarray(allowed)
+    days = []
+    for _ in range(n_days):
+        day = []
+        while len(day) < length:
+            day += [int(rng.choice(allowed))] * int(rng.geometric(1 / mean_run))
+        days.append(day[:length])
+    return Corpus.from_arrays(alphabet, days)
+
+
+def _direct_stats(values, original=None):
+    values = np.asarray(values)
+    cell = {
+        "n": int(values.size),
+        "mean": float(np.mean(values)) if values.size else None,
+        "sd": (float(np.std(values, ddof=1)) if values.size > 1 else 0.0) if values.size else None,
+    }
+    if original is not None:
+        ks = ks_two_sample(original, values) if values.size and original.size else None
+        cell["d"] = None if ks is None else ks.d
+        cell["p"] = None if ks is None else ks.p
+    return cell
+
+
+def _direct_report(original, methods, states, exclude_zero, ranges):
+    """build_report's tables from row-by-row and column-by-column computations."""
+    corpora = {"original": original, **methods}
+    labels = original.alphabet.labels
+
+    def episodes(corpus):
+        out = []
+        for row in corpus.states_matrix:
+            starts, lengths = run_bounds(row)
+            out.append((row[starts], lengths))
+        return out
+
+    def clip(values, state):
+        if state not in ranges:
+            return values
+        lo, hi = ranges[state]
+        return values[(values >= lo) & (values <= hi)]
+
+    table = {name: episodes(c) for name, c in corpora.items()}
+    individual, combined, counts = {}, {}, {}
+    for state in [None, *states]:
+        key = "Overall" if state is None else state
+        idx = None if state is None else labels.index(state)
+        samples = {}
+        for name, rows in table.items():
+            picked = [d if idx is None else d[s == idx] for s, d in rows]
+            samples[name] = clip(np.concatenate(picked).astype(np.int64), state)
+        individual[key] = {"original": _direct_stats(samples["original"])}
+        for name in methods:
+            individual[key][name] = _direct_stats(samples[name], samples["original"])
+        counts[key] = {}
+        for name, rows in table.items():
+            per_day = [s.size if idx is None else np.count_nonzero(s == idx) for s, _ in rows]
+            cell = _direct_stats(per_day)
+            counts[key][name] = {"mean": cell["mean"], "sd": cell["sd"]}
+        if state is None:
+            continue
+        samples = {}
+        for name, corpus in corpora.items():
+            values = (corpus.states_matrix == idx).sum(axis=1)
+            if exclude_zero.get(state, True):
+                values = values[values > 0]
+            samples[name] = clip(values, state)
+        combined[key] = {"original": _direct_stats(samples["original"])}
+        for name in methods:
+            combined[key][name] = _direct_stats(samples[name], samples["original"])
+    ents = {
+        name: np.array([sequence_entropy(IntervalSequence(row)) for row in c.states_matrix])
+        for name, c in corpora.items()
+    }
+    entropy = {"original": _direct_stats(ents["original"])}
+    for name in methods:
+        entropy[name] = _direct_stats(ents[name], ents["original"])
+    return individual, combined, counts, entropy
+
+
+class TestReportParity:
+    """Every cell of build_report against per-view computations that do not
+    share its one summary per corpus; equality is exact."""
+
+    @pytest.mark.parametrize("n_states", [2, 4, 9, 130])
+    def test_every_cell_matches_direct_views(self, n_states):
+        rng = np.random.default_rng(67 + n_states)
+        length = 300 if n_states == 130 else 96
+        original = _runs_corpus(rng, n_states, 40, length, 3)
+        skipped = 1 if n_states == 2 else 2  # never visits s0 (nor s1 beyond 2 states)
+        methods = {
+            "near": _runs_corpus(rng, n_states, 25, length, 4),
+            "skips": _runs_corpus(rng, n_states, 15, length, 6, range(skipped, n_states)),
+        }
+        totals = np.bincount(original.states_matrix.ravel(), minlength=n_states)
+        order = np.argsort(-totals, kind="stable")
+        top5 = tuple(original.alphabet.labels[i] for i in order[:5] if totals[i] > 0)
+        named = ("s0", "s1", original.alphabet.labels[-1])[: min(3, n_states)]
+        cases = [
+            (None, True, None),
+            (named, {"s0": False, "s1": True}, {"s0": (2, 9)}),
+            # s1's range empties every duration sample; s0 keeps the zero days
+            (named, False, {"s1": (0, 0), "s0": (1, 4)}),
+        ]
+        for states, exclude, ranges in cases:
+            report = build_report(
+                original, methods, states=states, exclude_zero_combined=exclude,
+                duration_ranges=ranges,
+            )
+            want_states = top5 if states is None else states
+            assert report.states == want_states
+            mapping = exclude if isinstance(exclude, dict) else {s: exclude for s in want_states}
+            individual, combined, counts, entropy = _direct_report(
+                original, methods, want_states, mapping, ranges or {}
+            )
+            assert report.individual == individual
+            assert report.combined == combined
+            assert report.episode_counts == counts
+            assert report.entropy == entropy
+        # the skipping method has an empty s0 sample, so no d and no curve
+        assert report.individual["s0"]["skips"]["n"] == 0
+        assert report.individual["s0"]["skips"]["d"] is None
+        assert set(report.curves["individual"]["s0"].methods) == {"near"}
+        assert "s1" not in report.curves["individual"]
+
+    def test_corpus_views_match_direct_views(self):
+        rng = np.random.default_rng(68)
+        for n_states in (2, 4, 9, 130):
+            corpus = _runs_corpus(rng, n_states, 30, 200, 3)
+            matrix = corpus.states_matrix
+            want = [sequence_entropy(IntervalSequence(row)) for row in matrix]
+            assert corpus_entropies(corpus).tolist() == want
+            totals = np.bincount(matrix.ravel(), minlength=n_states)
+            order = np.argsort(-totals, kind="stable")
+            assert top_states(corpus, 7) == tuple(
+                corpus.alphabet.labels[i] for i in order[:7] if totals[i] > 0
+            )
+            for idx in (0, n_states - 1):
+                label = corpus.alphabet.labels[idx]
+                comb = episode_durations(corpus, label, "combined").values
+                assert comb.tolist() == (matrix == idx).sum(axis=1).tolist()
+
+
+class TestReportNames:
+    def test_repeated_state_rejected(self):
+        corpus = activity_ground_truth(10, 150, seed=69)
+        with pytest.raises(DataFormatError, match="repeated state"):
+            build_report(corpus, {"m": corpus}, states=("rest", "rest"))
+
+    @pytest.mark.parametrize(
+        "labels, methods, clash",
+        [
+            (("rest", "move"), ("m-1", "M 1"), "'m-1' and 'M 1'"),
+            (("rest", "move"), ("Original",), "'original' and 'Original'"),
+            (("a b", "a-b"), ("m",), "'a b' and 'a-b'"),
+        ],
+    )
+    def test_colliding_curve_names_rejected_before_writing(self, tmp_path, labels, methods, clash):
+        # each pair once wrote one ECDF file, the second overwriting the first
+        corpus = Corpus.from_arrays(StateAlphabet(labels), [[0, 0, 1, 1, 0], [1, 0, 0, 1, 1]])
+        report = build_report(corpus, {name: corpus for name in methods}, states=labels)
+        with pytest.raises(DataFormatError, match=clash):
+            write_report(report, tmp_path / "out")
+        assert not (tmp_path / "out").exists()

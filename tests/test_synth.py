@@ -702,6 +702,26 @@ class TestBatch:
         assert ints[0] == floats[0]
         assert ints[1].to_dict() == floats[1].to_dict()
 
+    @pytest.mark.parametrize("bad", [0.5, 1.5, math.nan, math.inf, "1", None])
+    def test_non_integer_assignment_labels_rejected(self, bad):
+        # 0.5 and 1.5 once ran as clusters 0 and 1 through int()
+        corpus = activity_ground_truth(10, 60, seed=95)
+        labels = {sid: i % 2 for i, sid in enumerate(corpus.ids)}
+        labels[corpus.ids[3]] = bad
+        config = SynthesisConfig(delta=10, target_length=60, seed=20)
+        with pytest.raises(DataFormatError, match="cluster labels must be"):
+            synthesize_batch(corpus, config, 2, assignment=labels)
+
+    def test_integral_float_assignment_labels_accepted(self):
+        corpus = activity_ground_truth(10, 60, seed=95)
+        ints = {sid: i % 2 for i, sid in enumerate(corpus.ids)}
+        floats = {sid: float(label) for sid, label in ints.items()}
+        config = SynthesisConfig(delta=10, target_length=60, seed=20)
+        want = synthesize_batch(corpus, config, 6, assignment=ints)
+        got = synthesize_batch(corpus, config, 6, assignment=floats)
+        assert got[0] == want[0]
+        assert got[1].to_dict() == want[1].to_dict()
+
     def test_worker_count_is_bounded_before_any_pool(self, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was constructed")
