@@ -19,7 +19,6 @@ from seqsynth import (
     discretize_corpus,
     hierarchical_cluster,
     pairwise_distance,
-    sample_cluster,
     select_clusters,
     smooth_rolling,
 )
@@ -57,12 +56,12 @@ for cluster in range(assignment.k):
 # reweighting shifts the output composition
 rng = np.random.default_rng(7)
 default_weights = ClusterWeights.from_assignment(assignment)
-draws = Counter(sample_cluster(default_weights, rng) for _ in range(1000))
+draws = Counter(int(default_weights.choose(rng.random())) for _ in range(1000))
 print(f"1000 size-proportional cluster draws: {dict(sorted(draws.items()))}")
 
 boosted = np.ones(assignment.k)
 boosted[assignment.sizes.argmin()] = 10.0
 draws = Counter(
-    sample_cluster(ClusterWeights(boosted), rng) for _ in range(1000)
+    int(ClusterWeights(boosted).choose(rng.random())) for _ in range(1000)
 )
 print(f"1000 draws with the smallest cluster boosted 10x: {dict(sorted(draws.items()))}")

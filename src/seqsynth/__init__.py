@@ -32,7 +32,6 @@ from .clustering import (
     dunn_index,
     hierarchical_cluster,
     pairwise_distance,
-    sample_cluster,
     select_clusters,
 )
 from .errors import (

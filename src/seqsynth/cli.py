@@ -27,6 +27,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import secrets
 import sys
@@ -113,17 +114,12 @@ def _stage_cluster(
     else:
         dmat = clustering.pairwise_distance(corpus, metric)
         dend = clustering.hierarchical_cluster(dmat, linkage)
-        k_hi = min(k_range[1], len(corpus))
-        profile = clustering.dunn_profile(dend, dmat, (k_range[0], k_hi))
-        chosen = clustering.best_dunn_k(profile)
-        assignment = clustering.fold_small_clusters(
-            clustering.ClusterAssignment(dend.cut(chosen)), min_size
-        )
+        assignment, profile, chosen = clustering._select(dend, dmat, k_range, min_size)
         summary = {"source": "dunn", "metric": metric, "linkage": linkage}
         summary.update(
-            k_range=[k_range[0], k_hi],
-            dunn_by_k={str(k): profile[k] for k in sorted(profile)},
-            chosen_k=int(chosen),
+            k_range=[min(profile), max(profile)],
+            dunn_by_k={str(k): None if math.isinf(v) else v for k, v in profile.items()},
+            chosen_k=chosen,
         )
     labels = {i: int(c) for i, c in zip(corpus.ids, assignment.labels)}
     sizes_desc = sorted((int(s) for s in assignment.sizes), reverse=True)

@@ -28,9 +28,7 @@ __all__ = [
     "dunn_index",
     "dunn_profile",
     "select_clusters",
-    "best_dunn_k",
     "fold_small_clusters",
-    "sample_cluster",
     "LINKAGES",
 ]
 
@@ -46,7 +44,8 @@ class DistanceMatrix:
     """Finite, symmetric, non-negative distances with a zero diagonal.
 
     Only a read-only float64 array that owns its data, as
-    :func:`pairwise_distance` hands over, is kept without a copy.
+    :func:`pairwise_distance` hands over, is kept without a copy; a pair
+    whose entries differ within the 1e-9 tolerance is stored as their mean.
     """
 
     values: np.ndarray
@@ -63,8 +62,15 @@ class DistanceMatrix:
         blocks = [slice(lo, lo + step) for lo in range(0, arr.shape[0], step)]
         if not all(np.isfinite(arr[rows]).all() for rows in blocks):
             raise DataFormatError("distances must be finite (no NaN or inf)")
-        if any((np.abs(arr[rows] - arr[:, rows].T) > 1e-9).any() for rows in blocks):
-            raise DataFormatError("distance matrix must be symmetric")
+        for rows in blocks:  # each pair once: a row block against the columns from its start
+            upper, lower = arr[rows, rows.start :], arr[rows.start :, rows].T
+            gap = np.abs(upper - lower)
+            if (gap > 1e-9).any():
+                raise DataFormatError("distance matrix must be symmetric")
+            if gap.any():  # keep each pair's mean (min + gap / 2, the same either way round)
+                arr = arr if arr.flags.writeable else arr.copy()
+                mean = np.minimum(upper, lower) + gap / 2
+                arr[rows, rows.start :], arr[rows.start :, rows] = mean, mean.T
         if np.diagonal(arr).any():
             raise DataFormatError("distance matrix diagonal must be zero")
         if arr.min() < 0:
@@ -83,7 +89,8 @@ class Dendrogram:
 
     Each merge step is ``(a, b, height)`` where ``a < b`` are cluster ids:
     leaves are ``0..n-1`` and the cluster created by step ``s`` has id
-    ``n + s``.  Heights are non-decreasing for the supported linkages.
+    ``n + s``.  Each id is merged at most once, so the steps form one
+    tree.  Heights are non-decreasing for the supported linkages.
     """
 
     merges: tuple[tuple[int, int, float], ...]
@@ -95,9 +102,11 @@ class Dendrogram:
         if len(merges) != self.n_leaves - 1:
             raise DataFormatError("dendrogram must contain exactly n-1 merges")
         prev = -math.inf
+        merged: set[int] = set()
         for step, (a, b, h) in enumerate(merges):
-            if not (0 <= a < b < self.n_leaves + step):
-                raise DataFormatError(f"merge step {step} references invalid ids")
+            if not (0 <= a < b < self.n_leaves + step) or a in merged or b in merged:
+                raise DataFormatError(f"merge step {step} references invalid or merged ids")
+            merged.update((a, b))
             if h < prev - 1e-9:
                 raise DataFormatError("merge heights must be non-decreasing")
             prev = max(prev, h)
@@ -357,29 +366,43 @@ def dunn_index(dmat: DistanceMatrix, assignment: ClusterAssignment) -> float:
         raise ConfigError("Dunn index requires at least two clusters")
     if assignment.n != dmat.n:
         raise DataFormatError("assignment size does not match distance matrix")
-    labels = assignment.labels
-    d = dmat.values
-    same = labels[:, None] == labels[None, :]
-    min_inter = d[~same].min()
-    off_diag = ~np.eye(dmat.n, dtype=bool)
-    intra = d[same & off_diag]
-    max_diam = intra.max() if intra.size else 0.0
-    if max_diam == 0.0:
-        return math.inf
-    return float(min_inter / max_diam)
+    same = assignment.labels[:, None] == assignment.labels[None, :]
+    # the zero diagonal makes an all-singleton cut's diameter 0
+    return _dunn(dmat.values[~same].min(), dmat.values[same].max())
+
+
+def _dunn(min_inter, max_diam) -> float:
+    return math.inf if max_diam == 0.0 else float(min_inter / max_diam)
 
 
 def dunn_profile(
     dend: Dendrogram, dmat: DistanceMatrix, k_range: tuple[int, int]
 ) -> dict[int, float]:
-    """Dunn index of the dendrogram cut at each k in the inclusive range."""
-    lo, hi = int(k_range[0]), int(k_range[1])
-    hi = min(hi, dend.n_leaves)
+    """Dunn index of the dendrogram cut at each k in the inclusive range.
+
+    Each pair of leaves is first joined by exactly one merge, so the cut
+    applying the first ``t`` merges has as its largest diameter the largest
+    distance those merges join, and as its smallest inter-cluster distance
+    the smallest one the later merges join.  One replay reads both from each
+    merge's cross block of ``dmat``, which is the largest temporary.
+    """
+    n = dend.n_leaves
+    lo, hi = int(k_range[0]), min(int(k_range[1]), n)
     if lo < 2 or lo > hi:
         raise ConfigError(f"empty or invalid k_range ({k_range[0]}, {k_range[1]})")
-    return {
-        k: dunn_index(dmat, ClusterAssignment(dend.cut(k))) for k in range(lo, hi + 1)
-    }
+    if dmat.n != n:
+        raise DataFormatError("dendrogram size does not match distance matrix")
+    members = {leaf: [leaf] for leaf in range(n)}
+    lowest, highest = np.empty(n - 1), np.empty(n - 1)
+    for step, (a, b, _) in enumerate(dend.merges):
+        left, right = members.pop(a), members.pop(b)
+        block = dmat.values[np.ix_(left, right)]
+        lowest[step], highest[step] = block.min(), block.max()
+        members[n + step] = left + right
+    # the cut at k applies t = n - k merges: max_diam[t] reads those, min_inter[t] the rest
+    max_diam = np.maximum.accumulate(np.concatenate(([0.0], highest)))
+    min_inter = np.minimum.accumulate(lowest[::-1])[::-1]
+    return {k: _dunn(min_inter[n - k], max_diam[n - k]) for k in range(lo, hi + 1)}
 
 
 def select_clusters(
@@ -388,18 +411,15 @@ def select_clusters(
     k_range: tuple[int, int] = (2, 10),
     min_size: int | None = None,
 ) -> ClusterAssignment:
-    """Pick the cut with the best Dunn index, then fold small clusters.
+    """The cut at the best Dunn k (ties to the smallest), small clusters folded."""
+    return _select(dend, dmat, k_range, min_size)[0]
 
-    Ties go to the smallest k (``best_dunn_k``); clusters smaller than
-    ``min_size`` are folded by ``fold_small_clusters``.
-    """
+
+def _select(dend, dmat, k_range, min_size):
+    """The folded cut at the best Dunn k (ties to the smallest), the profile and that k."""
     profile = dunn_profile(dend, dmat, k_range)
-    return fold_small_clusters(ClusterAssignment(dend.cut(best_dunn_k(profile))), min_size)
-
-
-def best_dunn_k(profile: dict[int, float]) -> int:
-    """The k with the largest Dunn index; ties go to the smallest k."""
-    return max(profile, key=lambda k: (profile[k], -k))
+    chosen = max(profile, key=lambda k: (profile[k], -k))
+    return fold_small_clusters(ClusterAssignment(dend.cut(chosen)), min_size), profile, chosen
 
 
 def fold_small_clusters(
@@ -411,24 +431,9 @@ def fold_small_clusters(
     is relabelled as the last cluster index; kept clusters keep their
     order.
     """
-    n = assignment.n
     if min_size is None:
-        min_size = max(1, math.ceil(0.05 * n))
-    sizes = assignment.sizes
-    small = sizes < min_size
-    if not small.any():
-        return assignment
-    if small.all():
-        return ClusterAssignment(np.zeros(n, dtype=np.int64))
-    kept = np.flatnonzero(~small)
-    remap = {int(c): i for i, c in enumerate(kept)}
-    catch_all = len(kept)
-    labels = np.array(
-        [remap.get(int(c), catch_all) for c in assignment.labels], dtype=np.int64
-    )
-    return ClusterAssignment(labels)
-
-
-def sample_cluster(weights: ClusterWeights, rng: np.random.Generator) -> int:
-    """Categorical draw over clusters proportional to the weights."""
-    return int(weights.choose(rng.random()))
+        min_size = max(1, math.ceil(0.05 * assignment.n))
+    kept = np.flatnonzero(assignment.sizes >= min_size)
+    table = np.full(assignment.k, kept.size, dtype=np.int64)
+    table[kept] = np.arange(kept.size)
+    return ClusterAssignment(table[assignment.labels])

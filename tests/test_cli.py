@@ -42,6 +42,15 @@ def _no_synthesis(*args, **kwargs):
     raise AssertionError("a cell ran before the grid was validated")
 
 
+def _strict_json(path: Path):
+    """Parse ``path`` as strict JSON: NaN, Infinity and -Infinity are refused."""
+
+    def refuse(constant):
+        raise ValueError(f"{path} holds {constant}, which is not JSON")
+
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
+
+
 def _tree_bytes(root: Path) -> dict:
     return {
         str(p.relative_to(root)): p.read_bytes()
@@ -132,6 +141,19 @@ class TestCluster:
         summary = json.loads((out / "cluster_summary.json").read_text())
         assert summary["sizes_desc"] == sorted(summary["sizes_desc"], reverse=True)
         assert set(summary["dunn_by_k"]) == {"2", "3", "4", "5"}
+
+    def test_infinite_dunn_index_written_as_null(self, tmp_path):
+        # three constant days, four copies each: every cut from k = 3 on
+        # has zero diameter, so its Dunn index is infinite
+        rows = np.repeat(np.arange(3), 4)[:, None].repeat(6, axis=1)
+        path = tmp_path / "constant.csv"
+        seqio.save_corpus(Corpus.from_arrays(StateAlphabet(("a", "b", "c")), rows), path)
+        out = tmp_path / "out"
+        assert run_cli("cluster", "--corpus", path, "--k-range", "2:5", "--output", out) == 0
+        summary = _strict_json(out / "cluster_summary.json")
+        assert summary["dunn_by_k"] == {"2": 1.0, "3": None, "4": None, "5": None}
+        assert summary["chosen_k"] == 3 and summary["sizes_desc"] == [4, 4, 4]
+        assert summary["k_range"] == [2, 5]
 
     def test_too_many_days_exit_data_error(self, tmp_path, capsys):
         path = tmp_path / "wide.csv"
@@ -531,6 +553,15 @@ class TestPipeline:
             "pipeline_manifest.json",
         ):
             assert (out / rel).exists(), rel
+
+    def test_fixture_pipeline_writes_strict_json(self, tmp_path):
+        out = tmp_path / "pipe"
+        config = REPO / "fixtures" / "pipeline.json"
+        assert run_cli("pipeline", "--config", config, "--output", out) == 0
+        written = sorted(out.rglob("*.json"))
+        assert {p.parent.name for p in written} >= {"cluster", "eval", "ingest", "sweep", "synth"}
+        for path in written:
+            _strict_json(path)
 
     def test_sweep_delta_longer_than_day_fails_before_synth(
         self, tmp_path, short_day_csv, capsys, monkeypatch

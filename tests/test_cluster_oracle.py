@@ -9,15 +9,31 @@ the lexicographic tie-break that integer Hamming distances exercise.
 ``oracle_hamming`` keeps the former ``pairwise_distance`` kernel, which
 rounded, symmetrised and zeroed the diagonal of the accumulated matches;
 the current kernel must give the same matrix bit for bit.
+
+``oracle_dunn_profile`` keeps the former per-cut ``dunn_profile`` (cut the
+tree at each k, then ``dunn_index`` over that cut's n x n masks) as the
+reference for the one-replay profile, which must equal it exactly.
 """
+
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqsynth import Corpus, DistanceMatrix, StateAlphabet, hierarchical_cluster, pairwise_distance
-from seqsynth.clustering import LINKAGES
+from seqsynth import (
+    ClusterAssignment,
+    Corpus,
+    DistanceMatrix,
+    StateAlphabet,
+    dunn_index,
+    hierarchical_cluster,
+    pairwise_distance,
+)
+from seqsynth import clustering
+from seqsynth.clustering import LINKAGES, dunn_profile
 
 from _groundtruth import activity_ground_truth
 
@@ -75,6 +91,13 @@ def oracle_hamming(corpus):
     dist = (dist + dist.T) / 2.0
     np.fill_diagonal(dist, 0.0)
     return dist
+
+
+def oracle_dunn_profile(dend, dmat, k_range):
+    """Dunn index of each cut, one ``cut`` and one ``dunn_index`` per k."""
+    lo, hi = k_range
+    hi = min(hi, dend.n_leaves)
+    return {k: dunn_index(dmat, ClusterAssignment(dend.cut(k))) for k in range(lo, hi + 1)}
 
 
 def assert_matches_oracle(dmat):
@@ -155,3 +178,66 @@ class TestMergeTreeOracle:
 def test_hamming_kernel_matches_oracle(n):
     corpus = activity_ground_truth(n, seed=n)
     assert np.array_equal(pairwise_distance(corpus).values, oracle_hamming(corpus))
+
+
+def assert_profile_matches_oracle(dmat):
+    for linkage in LINKAGES:
+        dend = hierarchical_cluster(dmat, linkage)
+        got = dunn_profile(dend, dmat, (2, dmat.n))
+        assert got == oracle_dunn_profile(dend, dmat, (2, dmat.n)), linkage
+
+
+class TestDunnProfileOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(hamming_matrices())
+    def test_tie_heavy_hamming(self, dmat):
+        assert_profile_matches_oracle(dmat)
+
+    @settings(max_examples=150, deadline=None)
+    @given(float_matrices())
+    def test_random_floats(self, dmat):
+        assert_profile_matches_oracle(dmat)
+
+    @settings(max_examples=150, deadline=None)
+    @given(float_matrices(), st.integers(0, 2**32 - 1))
+    def test_nudged_upper_triangle(self, dmat, seed):
+        # a caller's matrix may be asymmetric within DistanceMatrix's 1e-9
+        # tolerance; the profile reads one triangle, the oracle both
+        values = np.array(dmat.values)
+        upper = np.triu_indices(dmat.n, 1)
+        values[upper] += np.random.default_rng(seed).uniform(0, 5e-10, upper[0].size)
+        assert_profile_matches_oracle(DistanceMatrix(values))
+
+    def test_zero_diameters_read_infinity(self):
+        # three groups of four identical days: cuts 3..12 have zero diameter
+        rows = np.repeat(np.arange(3), 4)[:, None].repeat(5, axis=1)
+        dmat = pairwise_distance(Corpus.from_arrays(StateAlphabet(("a", "b", "c")), rows))
+        dend = hierarchical_cluster(dmat)
+        profile = dunn_profile(dend, dmat, (2, 12))
+        assert profile == oracle_dunn_profile(dend, dmat, (2, 12))
+        assert profile[2] == 1.0 and all(profile[k] == math.inf for k in range(3, 13))
+
+    def test_no_cut_or_dunn_index(self, monkeypatch):
+        dmat = pairwise_distance(activity_ground_truth(60, seed=6))
+        dend = hierarchical_cluster(dmat)
+        want = oracle_dunn_profile(dend, dmat, (2, 10))
+
+        def refused(*args, **kwargs):
+            raise AssertionError("dunn_profile cut the tree or scored a cut")
+
+        monkeypatch.setattr(clustering.Dendrogram, "cut", refused)
+        monkeypatch.setattr(clustering, "dunn_index", refused)
+        assert dunn_profile(dend, dmat, (2, 10)) == want
+
+    def test_peak_memory_below_half_the_matrix(self):
+        # the largest temporary is one merge's cross block, at most a
+        # quarter of the matrix; the per-cut profile made n x n masks
+        dmat = pairwise_distance(activity_ground_truth(1000, seed=1000))
+        dend = hierarchical_cluster(dmat)
+        tracemalloc.start()
+        try:
+            dunn_profile(dend, dmat, (2, 10))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dmat.values.nbytes / 2, f"traced peak {peak / 1e6:.1f} MB"

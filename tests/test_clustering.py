@@ -17,10 +17,9 @@ from seqsynth import (
     dunn_index,
     hierarchical_cluster,
     pairwise_distance,
-    sample_cluster,
     select_clusters,
 )
-from seqsynth.clustering import Dendrogram, dunn_profile
+from seqsynth.clustering import Dendrogram, dunn_profile, fold_small_clusters
 
 
 def line_distance_matrix(points):
@@ -105,6 +104,24 @@ class TestDistanceMatrix:
             DistanceMatrix(values)
         values[550, 10] = 1e-10  # within the 1e-9 tolerance
         DistanceMatrix(values)
+
+    def test_near_symmetric_pairs_stored_as_their_mean(self):
+        # 600 rows span two row blocks: (10, 550) crosses them, (500, 550)
+        # lies in the second; every reader must see one value per pair
+        values = np.zeros((600, 600))
+        values[10, 550], values[550, 10] = 3.0, 3.0 + 8e-10
+        values[500, 550], values[550, 500] = 2.0 + 6e-10, 2.0
+        given_ = values.copy()
+        stored = DistanceMatrix(values).values
+        assert np.array_equal(stored, stored.T) and np.array_equal(values, given_)
+        assert stored[10, 550] == pytest.approx(3.0 + 4e-10, abs=1e-15)
+        assert stored[500, 550] == pytest.approx(2.0 + 3e-10, abs=1e-15)
+        assert np.count_nonzero(stored) == 4
+        # a read-only array that owns its data is copied before it is mended
+        values.setflags(write=False)
+        kept = DistanceMatrix(values).values
+        assert kept is not values and np.array_equal(kept, stored)
+        assert np.array_equal(values, given_)
 
     def test_caller_arrays_are_copied(self):
         values = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -275,6 +292,32 @@ class TestSelectClusters:
         with pytest.raises(ConfigError):
             dunn_profile(dend, d, (5, 4))
 
+    def test_matrix_of_another_size_rejected(self):
+        dend = hierarchical_cluster(line_distance_matrix([0, 1, 2]))
+        with pytest.raises(DataFormatError, match="does not match"):
+            dunn_profile(dend, line_distance_matrix([0, 1, 2, 3]), (2, 3))
+
+
+class TestFoldSmallClusters:
+    def test_small_clusters_form_the_last_cluster(self):
+        assignment = ClusterAssignment([2, 0, 1, 2, 3, 2, 0, 3])
+        folded = fold_small_clusters(assignment, min_size=2)
+        assert folded.labels.tolist() == [1, 0, 3, 1, 2, 1, 0, 2]
+
+    def test_nothing_small_keeps_labels(self):
+        assignment = ClusterAssignment([1, 0, 1, 0])
+        assert fold_small_clusters(assignment, min_size=2).labels.tolist() == [1, 0, 1, 0]
+
+    def test_all_small_is_one_cluster(self):
+        folded = fold_small_clusters(ClusterAssignment([0, 1, 2, 1]), min_size=3)
+        assert folded.k == 1 and folded.labels.tolist() == [0, 0, 0, 0]
+
+    def test_default_floor_is_five_percent(self):
+        # 40 days: the floor is 2, so the singleton cluster 1 folds
+        labels = [0] * 20 + [1] + [2] * 19
+        folded = fold_small_clusters(ClusterAssignment(labels))
+        assert folded.labels.tolist() == [0] * 20 + [2] + [1] * 19
+
 
 class TestSampleCluster:
     def test_size_weights_normalize(self):
@@ -286,12 +329,12 @@ class TestSampleCluster:
     def test_single_cluster(self):
         rng = np.random.default_rng(9)
         w = ClusterWeights(np.ones(1))
-        assert all(sample_cluster(w, rng) == 0 for _ in range(20))
+        assert all(int(w.choose(rng.random())) == 0 for _ in range(20))
 
     def test_degenerate_weight(self):
         rng = np.random.default_rng(10)
         w = ClusterWeights(np.array([1.0, 0.0]))
-        assert all(sample_cluster(w, rng) == 0 for _ in range(50))
+        assert all(int(w.choose(rng.random())) == 0 for _ in range(50))
 
     def test_all_zero_rejected(self):
         with pytest.raises(DataFormatError, match="all-zero"):
@@ -319,7 +362,7 @@ class TestSampleCluster:
     def test_frequencies_track_weights(self):
         rng = np.random.default_rng(11)
         w = ClusterWeights(np.array([911.0, 808.0, 210.0]))
-        draws = np.array([sample_cluster(w, rng) for _ in range(20000)])
+        draws = np.array([int(w.choose(rng.random())) for _ in range(20000)])
         freq = np.bincount(draws, minlength=3) / draws.size
         assert freq == pytest.approx(w.normalized(), abs=0.015)
 
@@ -350,3 +393,10 @@ class TestDendrogramValidation:
     def test_height_order_enforced(self):
         with pytest.raises(DataFormatError):
             Dendrogram(((0, 1, 2.0), (2, 3, 1.0)), 3)
+
+    def test_cluster_merged_twice_rejected(self):
+        # leaf 0 joined cluster 3 at step 0, so step 1 cannot merge it again
+        with pytest.raises(DataFormatError, match="merge step 1 references invalid or merged ids"):
+            Dendrogram(((0, 1, 1.0), (0, 2, 2.0)), 3)
+        with pytest.raises(DataFormatError, match="merge step 2 references invalid or merged ids"):
+            Dendrogram(((0, 1, 1.0), (2, 3, 2.0), (3, 4, 3.0)), 4)

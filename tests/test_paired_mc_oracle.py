@@ -35,7 +35,6 @@ from seqsynth import (
     TvmcModel,
     episode_table,
     extend_with_buffer,
-    sample_cluster,
     synthesize_batch,
 )
 from seqsynth import synth
@@ -522,7 +521,7 @@ def _oracle_batch(corpus, config, count, vec, weights):
         rng = np.random.default_rng(
             np.random.SeedSequence((config.seed, _SEQUENCE_STREAM, ordinal))
         )
-        cluster = 0 if vec is None else sample_cluster(ClusterWeights(weights), rng)
+        cluster = 0 if vec is None else int(ClusterWeights(weights).choose(rng.random()))
         result = engines[cluster].generate(rng)
         states[ordinal] = result.states
         drawn.append((cluster, result.fallbacks))

@@ -20,7 +20,6 @@ from seqsynth import (
     StateAlphabet,
     SynthesisConfig,
     TvmcModel,
-    sample_cluster,
     synthesize_batch,
 )
 from seqsynth import synth
@@ -202,7 +201,7 @@ class TestBatchOracle:
             rng = np.random.default_rng(
                 np.random.SeedSequence((config.seed, _SEQUENCE_STREAM, ordinal))
             )
-            cluster = sample_cluster(ClusterWeights(weights), rng) if clustered else 0
+            cluster = int(ClusterWeights(weights).choose(rng.random())) if clustered else 0
             want[ordinal], marginal = oracle_generate(fitted[cluster], rng)
             drawn.append((cluster, {"marginal": marginal}))
         assert np.array_equal(out.states_matrix, want)
