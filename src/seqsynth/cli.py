@@ -13,18 +13,21 @@ window-sensitivity sweeps into reproducible pipelines:
 
 Every subcommand turns its flags into the sections of a pipeline config
 and runs its one stage through the same runner, which checks the whole
-config against one schema before any stage writes.
+config against one schema before any stage writes.  argparse only splits
+argv into flags: a number that does not parse goes on as its text, and a
+flag left out takes its key's schema default, so a flag is defaulted and
+checked as its config key is, and fails with the same message.
 
-Exit codes: 0 success, 2 configuration error, 3 data error.  Errors are
-emitted as one JSON object on stderr.  All randomness flows from
-``--seed``; when unset, a seed is drawn from system entropy and printed.
-The hash of the configuration is recorded in every JSON artifact.
+Exit codes: 0 success, 2 configuration error (a malformed command line
+too), 3 data error.  Errors are emitted as one JSON object on stderr.
+All randomness flows from ``--seed``; when unset, a seed is drawn from
+system entropy and printed.  The hash of the configuration is recorded
+in every JSON artifact.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -44,7 +47,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 ENV_OUTDIR = "SEQSYNTH_OUTDIR"
-_INPUT_FORMATS = (seqio.INTERVAL, seqio.EPISODE, seqio.CONTINUOUS)
 
 
 def _config_hash(payload: dict) -> str:
@@ -52,16 +54,22 @@ def _config_hash(payload: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _default_outdir() -> str:
-    return os.environ.get(ENV_OUTDIR, "seqsynth-out")
+def _number(kind, sep: str | None = None):
+    """argparse ``type``: one ``kind`` number, or a ``sep``-separated list of them.
 
+    Empty list items are skipped.  Text that does not parse is passed on as
+    it is, for the schema to reject as it rejects that value in a config.
+    """
 
-def _parse_list(text: str, kind=int, sep: str = ",") -> list:
-    try:
-        return [kind(x) for x in text.split(sep) if x.strip()]
-    except ValueError:
-        what = f"{kind.__name__} values separated by {sep!r}"
-        raise ConfigError(f"expected {what}, got {text!r}")
+    def convert(text: str):
+        try:
+            if sep is None:
+                return kind(text)
+            return [kind(x) for x in text.split(sep) if x.strip()]
+        except ValueError:
+            return text
+
+    return convert
 
 
 def _load_json_config(path) -> dict:
@@ -165,7 +173,7 @@ def _stage_sweep(
         return {"d": block["d"], "p": block["p"]}
 
     cells = []
-    rows = []
+    rows = [["delta", "order", "state", "metric", "d", "p"]]
     for config in grid:
         name = f"{engine}-d{config.delta}-o{config.order}"
         out, _ = synth.synthesize_batch(
@@ -191,10 +199,7 @@ def _stage_sweep(
         cells.append(cell)
     payload = {"cells": cells, "config_hash": cfg_hash}
     seqio.write_json(payload, outdir / "sweep.json")
-    with open(outdir / "sweep.csv", "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["delta", "order", "state", "metric", "d", "p"])
-        w.writerows(rows)
+    seqio.write_csv(rows, outdir / "sweep.csv")
     return payload
 
 
@@ -264,7 +269,7 @@ _STATES = _must(
 _SCHEMA = {
     "input": {
         "path": (None, _TEXT),
-        "format": (seqio.INTERVAL, _choice(*_INPUT_FORMATS)),
+        "format": (seqio.INTERVAL, _choice(*seqio.CORPUS_FORMATS, seqio.CONTINUOUS)),
     },
     "preprocess": {
         "smooth_window": (None, _optional(_positive)),
@@ -326,7 +331,8 @@ def _check(cfg: dict) -> dict:
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
 
-    eff: dict = {"output_dir": cfg.get("output_dir", _default_outdir())}
+    default_outdir = os.environ.get(ENV_OUTDIR, "seqsynth-out")
+    eff: dict = {"output_dir": cfg.get("output_dir", default_outdir)}
     _TEXT("output_dir", eff["output_dir"])
     for name, table in _SCHEMA.items():
         section = cfg.get(name, {})
@@ -373,10 +379,12 @@ def _run(
     ``input.path`` is read as an interval corpus; an enabled cluster
     section not run as a stage gives its ``labels_path`` as the assignment;
     sweep runs only if ``cfg`` has a sweep section; without synth, eval
-    compares ``methods`` (name -> path).  Paths are relative to ``root``.
-    A pipeline writes each stage into a subdirectory of ``output`` (default
-    ``output_dir``), names each corpus after its engine and writes stage
-    timings to ``pipeline_manifest.json``; a subcommand writes into ``output``.
+    compares ``methods`` (name -> path).  Input, label and method paths
+    are relative to ``root``; ``output`` and ``output_dir``, like
+    ``SEQSYNTH_OUTDIR``, to the working directory.  A pipeline writes each
+    stage into a subdirectory of ``output`` (default ``output_dir``), names
+    each corpus after its engine and writes stage timings to
+    ``pipeline_manifest.json``; a subcommand writes into ``output``.
     """
     eff = _check(cfg)
     workers = eff["synth"]["workers"] if workers is None else workers
@@ -478,6 +486,16 @@ def _given(**flags) -> dict:
     return {key: value for key, value in flags.items() if value is not None}
 
 
+def _section(name: str, args, **flags) -> dict:
+    """Schema section ``name``: its defaults, with the flags given for its keys over them.
+
+    Each flag's ``dest`` is its key; ``flags`` replace the parsed values.
+    """
+    table = _SCHEMA[name]
+    given = _given(**({key: getattr(args, key, None) for key in table} | flags))
+    return {key: default for key, (default, _) in table.items()} | given
+
+
 def _synth_sections(args) -> dict:
     """input, synth and (with --assignment) cluster sections of synth or sweep.
 
@@ -492,9 +510,8 @@ def _synth_sections(args) -> dict:
     sampler = dict(given) if isinstance(given, dict) else {"type": given}
     sampler.update(_given(type=args.sampler, bandwidth_rule=args.bandwidth))
     section["sampler"] = sampler
-    weights = None if args.weights is None else _parse_list(args.weights, float)
-    flags = ("delta", "order", "buffer", "duration_pool", "count", "seed")
-    section.update(_given(weights=weights, **{key: getattr(args, key) for key in flags}))
+    flags = ("delta", "order", "buffer", "duration_pool", "count", "seed", "weights")
+    section.update(_given(**{key: getattr(args, key) for key in flags}))
     if section.get("seed") is None:
         section["seed"] = secrets.randbits(63)
         print(f"seed={section['seed']}")
@@ -504,31 +521,14 @@ def _synth_sections(args) -> dict:
     return cfg
 
 
-def _eval_section(args) -> dict:
-    return {"states": args.states, "include_zero_combined": args.include_zero_combined}
-
-
 def cmd_ingest(args) -> int:
-    preprocess = {
-        "smooth_window": args.smooth,
-        # a flag with no numbers in it gives no thresholds
-        "thresholds": _parse_list(args.thresholds or "", float) or None,
-        "on_missing": "drop" if args.drop_missing else "error",
-        "interval_minutes": args.interval_minutes,
-    }
-    cfg = {"input": {"path": args.input, "format": args.format}, "preprocess": preprocess}
-    return _subcommand(args, cfg)
+    # a --thresholds with no numbers in it gives no thresholds
+    preprocess = _section("preprocess", args, thresholds=args.thresholds or None)
+    return _subcommand(args, {"input": _section("input", args), "preprocess": preprocess})
 
 
 def cmd_cluster(args) -> int:
-    cluster = {
-        "enabled": True,
-        "metric": args.metric,
-        "linkage": args.linkage,
-        "k_range": _parse_list(args.k_range, sep=":"),
-        "min_size": args.min_size,
-        "labels_path": args.labels,
-    }
+    cluster = _section("cluster", args, enabled=True)
     return _subcommand(args, {"input": {"path": args.corpus}, "cluster": cluster})
 
 
@@ -548,16 +548,15 @@ def cmd_eval(args) -> int:
         if name == "original":
             raise ConfigError('method name "original" is reserved')
         methods[name] = path
-    cfg = {"input": {"path": args.original}, "eval": _eval_section(args)}
+    cfg = {"input": {"path": args.original}, "eval": _section("eval", args)}
     return _subcommand(args, cfg, {"methods": sorted(methods)}, methods=methods)
 
 
 def cmd_sweep(args) -> int:
     cfg = _synth_sections(args)
     cfg["synth"].pop("delta", None)  # the grid replaces it
-    cfg["eval"] = _eval_section(args)
-    deltas, orders = _parse_list(args.deltas), _parse_list(args.orders)
-    cfg["sweep"] = {"deltas": deltas, "orders": orders, "engine": args.engine}
+    cfg["eval"] = _section("eval", args)
+    cfg["sweep"] = _section("sweep", args)
     return _subcommand(args, cfg)
 
 
@@ -575,37 +574,47 @@ def cmd_pipeline(args) -> int:
 # parser / entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    """Splits argv into flags; a malformed command line is a ConfigError."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="seqsynth", description="Synthesize and evaluate long categorical sequences."
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(func, help: str, output=_default_outdir()) -> argparse.ArgumentParser:
+    def command(func, help: str) -> argparse.ArgumentParser:
         p = sub.add_parser(func.__name__.removeprefix("cmd_"), help=help)
-        p.add_argument("--output", default=output)
+        p.add_argument("--output")
         p.set_defaults(func=func)
         return p
 
     p = command(cmd_ingest, "normalize input data to an interval corpus")
-    p.add_argument("--input", required=True)
-    p.add_argument("--format", choices=_INPUT_FORMATS, default=seqio.INTERVAL)
-    p.add_argument("--smooth", type=int, default=None, help="rolling mean window")
-    p.add_argument("--thresholds", default=None, help="e.g. 760,2020 (zero is implied)")
-    p.add_argument("--drop-missing", action="store_true")
-    p.add_argument("--interval-minutes", type=int, default=1)
+    p.add_argument("--input", dest="path", required=True)
+    p.add_argument("--format")
+    p.add_argument("--smooth", dest="smooth_window", type=_number(int), metavar="WINDOW")
+    p.add_argument(
+        "--thresholds", type=_number(float, ","), help="e.g. 760,2020 (zero is implied)"
+    )
+    p.add_argument("--drop-missing", dest="on_missing", action="store_const", const="drop")
+    p.add_argument("--interval-minutes", type=_number(int))
 
     p = command(cmd_cluster, "pre-cluster an ingested corpus")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--metric", choices=("hamming",), default="hamming")
-    p.add_argument("--linkage", choices=clustering.LINKAGES, default="complete")
-    p.add_argument("--k-range", default="2:10")
-    p.add_argument("--min-size", type=int, default=None)
-    p.add_argument("--labels", default=None, help="user-driven assignment CSV")
+    p.add_argument("--metric")
+    p.add_argument("--linkage")
+    p.add_argument("--k-range", type=_number(int, ":"), metavar="LO:HI")
+    p.add_argument("--min-size", type=_number(int))
+    p.add_argument("--labels", dest="labels_path", help="user-driven assignment CSV")
 
     p = command(cmd_synth, "synthesize a corpus")
     _add_synth_flags(p)
     p.add_argument("--format", choices=seqio.CORPUS_FORMATS, default=seqio.INTERVAL)
+    p.set_defaults(engine="paired-mc")  # one engine, where a pipeline runs every one
 
     p = command(cmd_eval, "compare synthesized corpora to an original")
     p.add_argument("--original", required=True)
@@ -615,40 +624,40 @@ def build_parser() -> argparse.ArgumentParser:
     p = command(cmd_sweep, "synth+eval over a (delta, order) grid")
     _add_synth_flags(p)
     _add_eval_flags(p)
-    p.add_argument("--deltas", default="30,60,120")
-    p.add_argument("--orders", default="1,2")
+    p.add_argument("--deltas", type=_number(int, ","))
+    p.add_argument("--orders", type=_number(int, ","))
 
-    p = command(cmd_pipeline, "run every stage from one JSON config", output=None)
+    p = command(cmd_pipeline, "run every stage from one JSON config")
     p.add_argument("--config", required=True)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=_number(int))
     return parser
 
 
 def _add_synth_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--corpus", required=True)
-    p.add_argument("--assignment", default=None, help="cluster assignment CSV")
-    p.add_argument("--config", default=None, help="synthesis config JSON")
-    p.add_argument("--engine", choices=synth.ENGINES, default="paired-mc")
-    p.add_argument("--delta", type=int, default=None)
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--sampler", choices=synth.SAMPLERS, default=None)
-    p.add_argument("--bandwidth", type=float, default=None)
-    p.add_argument("--buffer", choices=synth.BUFFERS, default=None)
-    p.add_argument("--duration-pool", choices=synth.DURATION_POOLS, default=None)
-    p.add_argument("--count", type=int, default=None, help="default: corpus size")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--weights", default=None, help="per-cluster weights a,b,c")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--assignment", help="cluster assignment CSV")
+    p.add_argument("--config", help="synthesis config JSON")
+    p.add_argument("--engine")
+    p.add_argument("--delta", type=_number(int))
+    p.add_argument("--order", type=_number(int))
+    p.add_argument("--sampler")
+    p.add_argument("--bandwidth", type=_number(float))
+    p.add_argument("--buffer")
+    p.add_argument("--duration-pool")
+    p.add_argument("--count", type=_number(int), help="default: corpus size")
+    p.add_argument("--seed", type=_number(int))
+    p.add_argument("--weights", type=_number(float, ","), help="per-cluster weights a,b,c")
+    p.add_argument("--workers", type=_number(int))
 
 
 def _add_eval_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--states", default="top5")
-    p.add_argument("--include-zero-combined", action="store_true")
+    p.add_argument("--states")
+    p.add_argument("--include-zero-combined", action="store_const", const=True)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (SeqSynthError, OSError) as exc:
         code = EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_DATA

@@ -16,7 +16,6 @@ ln(alphabet size).
 
 from __future__ import annotations
 
-import csv
 import math
 import re
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ import numpy as np
 
 from .core import Corpus, IntervalSequence, episode_table
 from .errors import DataFormatError
-from .io import write_json
+from .io import write_csv, write_json
 
 __all__ = [
     "KsResult",
@@ -408,19 +407,12 @@ def _fmt(value) -> str:
     return "" if value is None else repr(value)
 
 
-def _write_table(path: Path, report: EvaluationReport, table: dict) -> None:
-    header = ["state", "original_mean", "original_sd"]
-    for name in report.methods:
-        header += [f"{name}_mean", f"{name}_sd", f"{name}_d", f"{name}_p"]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for state, columns in table.items():
-            row = [state, _fmt(columns["original"]["mean"]), _fmt(columns["original"]["sd"])]
-            for name in report.methods:
-                cell = columns[name]
-                row += [_fmt(cell["mean"]), _fmt(cell["sd"]), _fmt(cell["d"]), _fmt(cell["p"])]
-            w.writerow(row)
+def _write_table(path: Path, table: dict, fields: dict) -> None:
+    """One row per state of ``table``, with the ``fields[sample]`` of each sample."""
+    rows = [["state"] + [f"{n}_{f}" for n, keys in fields.items() for f in keys]]
+    for state, cells in table.items():
+        rows.append([state] + [_fmt(cells[n][f]) for n, keys in fields.items() for f in keys])
+    write_csv(rows, path)
 
 
 def write_report(report: EvaluationReport, outdir, config_hash: str | None = None) -> None:
@@ -440,26 +432,19 @@ def write_report(report: EvaluationReport, outdir, config_hash: str | None = Non
         payload["config_hash"] = config_hash
     write_json(payload, outdir / "report.json")
 
-    _write_table(outdir / "individual_durations.csv", report, report.individual)
-    _write_table(outdir / "combined_durations.csv", report, report.combined)
+    tested = dict.fromkeys(("original", *report.methods), ("mean", "sd", "d", "p"))
+    tested["original"] = ("mean", "sd")
+    _write_table(outdir / "individual_durations.csv", report.individual, tested)
+    _write_table(outdir / "combined_durations.csv", report.combined, tested)
+    counts = dict.fromkeys(("original", *report.methods), ("mean", "sd"))
+    _write_table(outdir / "episode_counts.csv", report.episode_counts, counts)
 
-    with open(outdir / "episode_counts.csv", "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        names = ["original"] + list(report.methods)
-        w.writerow(["state"] + [f"{n}_{col}" for n in names for col in ("mean", "sd")])
-        for state, columns in report.episode_counts.items():
-            row = [state]
-            for n in names:
-                row += [_fmt(columns[n]["mean"]), _fmt(columns[n]["sd"])]
-            w.writerow(row)
-
-    with open(outdir / "entropy.csv", "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["corpus", "mean", "sd", "d", "p"])
-        for name, cell in report.entropy.items():
-            d = _fmt(cell["d"]) if "d" in cell else ""
-            p = _fmt(cell["p"]) if "p" in cell else ""
-            w.writerow([name, _fmt(cell["mean"]), _fmt(cell["sd"]), d, p])
+    rows = [["corpus", "mean", "sd", "d", "p"]]
+    for name, cell in report.entropy.items():
+        d = _fmt(cell["d"]) if "d" in cell else ""
+        p = _fmt(cell["p"]) if "p" in cell else ""
+        rows.append([name, _fmt(cell["mean"]), _fmt(cell["sd"]), d, p])
+    write_csv(rows, outdir / "entropy.csv")
 
     ecdf_dir = outdir / "ecdf"
     ecdf_dir.mkdir(exist_ok=True)

@@ -73,6 +73,14 @@ def _writer(fh):
     return csv.writer(fh, lineterminator="\n")
 
 
+def write_csv(rows: Iterable[Iterable], path) -> None:
+    """Write ``rows`` as CSV, making the parent directory first."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        _writer(fh).writerows(rows)
+
+
 def _quoted(fields: Iterable[str]) -> list[str]:
     """Each field as ``csv.writer`` writes it within a row of several.
 
@@ -457,14 +465,9 @@ def _parse_cells(row: list[str], row_no: int) -> np.ndarray:
 
 def save_continuous(series_list: Iterable[ContinuousSeries], path) -> None:
     series_list = list(series_list)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = _writer(fh)
-        n = len(series_list[0]) if series_list else 0
-        w.writerow(["id"] + [f"v{i + 1}" for i in range(n)])
-        for s in series_list:
-            w.writerow([s.id] + [repr(float(v)) for v in s.values])
+    n = len(series_list[0]) if series_list else 0
+    rows = ([s.id] + [repr(float(v)) for v in s.values] for s in series_list)
+    write_csv(chain([["id"] + [f"v{i + 1}" for i in range(n)]], rows), path)
 
 
 def load_cluster_labels(path) -> dict[str, int]:
@@ -491,13 +494,8 @@ def load_cluster_labels(path) -> dict[str, int]:
 
 
 def save_cluster_labels(labels: Mapping[str, int], path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["id", "cluster"])
-        for sid, cluster in labels.items():
-            w.writerow([sid, int(cluster)])
+    rows = ([sid, int(cluster)] for sid, cluster in labels.items())
+    write_csv(chain([["id", "cluster"]], rows), path)
 
 
 def save_alphabet(alphabet: StateAlphabet, path, **extra) -> None:

@@ -998,19 +998,19 @@ class TvmcEngine:
         _check_engine_inputs(corpus, config)
         self.config = config
         self.n = corpus.length
-        self.model = _source(corpus, labels).tvmc
+        self.tvmc = _source(corpus, labels).tvmc
 
     def generate_many(
         self, rngs: Sequence[np.random.Generator], clusters=None
     ) -> tuple[np.ndarray, np.ndarray]:
         """One sequence per stream, in order: ``(states, fallbacks)``, as for paired-mc."""
-        cluster = _row_clusters(len(rngs), clusters, self.model.n_clusters)
+        cluster = _row_clusters(len(rngs), clusters, self.tvmc.n_clusters)
         u = np.empty((len(rngs), self.n))
         for row, rng in zip(u, rngs):
             rng.random(out=row)
-        states = np.empty(u.shape, dtype=self.model.dtype)
-        states[:, 0] = _categorical(self.model.first_cum[cluster], u[:, 0])
-        states[:, 1:], fallbacks = self.model.walk(states[:, 0], 1, u[:, 1:], cluster)
+        states = np.empty(u.shape, dtype=self.tvmc.dtype)
+        states[:, 0] = _categorical(self.tvmc.first_cum[cluster], u[:, 0])
+        states[:, 1:], fallbacks = self.tvmc.walk(states[:, 0], 1, u[:, 1:], cluster)
         return states, fallbacks[:, None]
 
 
@@ -1077,8 +1077,8 @@ def _resolve_assignment(corpus: Corpus, assignment) -> ClusterAssignment | None:
     return assignment
 
 
-# worker state lives at module level so forked workers inherit it without
-# re-pickling; the spawn fallback rebuilds it in the initializer
+# the batch's engine and cluster weights; the pool's initializer sets them in
+# each worker, from its own memory under fork and unpickled under spawn
 _WORKER: dict = {}
 
 
@@ -1119,17 +1119,15 @@ def _check_batch_size(count: int, target_length: int) -> None:
 
 def _worker_chunk(ordinals: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(clusters, states, fallbacks) of the ordinals, one row each, in order."""
-    config, weights = _WORKER["config"], _WORKER["weights"]
-    corpus, labels = _WORKER["corpus"], _WORKER["labels"]
-    cls = _ENGINE_CLASSES[_WORKER["engine_name"]]
+    engine, weights = _WORKER["engine"], _WORKER["weights"]
+    seed = engine.config.seed
     ords = list(ordinals)
     clusters = np.zeros(len(ords), dtype=np.int64)
-    states = np.empty((len(ords), config.target_length), dtype=corpus.alphabet.cell_dtype)
-    fallbacks = np.empty((len(ords), len(cls.fallback_names)), dtype=np.int64)
-    engine = cls(corpus, config, labels) if ords else None
+    states = np.empty((len(ords), engine.n), dtype=engine.tvmc.dtype)
+    fallbacks = np.empty((len(ords), len(engine.fallback_names)), dtype=np.int64)
     # blocks of consecutive ordinals, whatever their clusters
     for lo in range(0, len(ords), _BLOCK_ROWS):
-        rngs = [_stream(config.seed, _SEQUENCE_STREAM, o) for o in ords[lo : lo + _BLOCK_ROWS]]
+        rngs = [_stream(seed, _SEQUENCE_STREAM, o) for o in ords[lo : lo + _BLOCK_ROWS]]
         at = slice(lo, lo + len(rngs))
         if weights is not None:
             clusters[at] = weights.choose(np.array([rng.random() for rng in rngs]))
@@ -1137,12 +1135,47 @@ def _worker_chunk(ordinals: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.n
     return clusters, states, fallbacks
 
 
-def _worker_init(corpus, labels, config, engine_name, weights) -> None:
-    """``labels`` and ``weights`` are None for a batch without a cluster assignment."""
-    _WORKER.clear()
-    _WORKER.update(
-        corpus=corpus, labels=labels, config=config, engine_name=engine_name, weights=weights
-    )
+def _worker_init(engine, weights) -> None:
+    """``weights`` is None for a batch without a cluster assignment."""
+    _WORKER.update(engine=engine, weights=weights)
+
+
+def _run_chunks(engine, weights, count: int, workers: int):
+    """(clusters, states, fallbacks) of ordinals ``0..count-1`` from one built engine."""
+    initargs = (engine, weights)
+    _worker_init(*initargs)
+    try:
+        if workers == 1:
+            chunk_results = [_worker_chunk(range(count))]
+        else:
+            chunk_size = max(1, math.ceil(count / (workers * 4)))
+            chunks = [
+                range(lo, min(lo + chunk_size, count))
+                for lo in range(0, count, chunk_size)
+            ]
+            try:
+                ctx = multiprocessing.get_context("fork")
+            except ValueError:
+                ctx = multiprocessing.get_context("spawn")
+            # a worker's full collection would otherwise visit, and so copy,
+            # every object it inherits; a caller's own freeze is left alone
+            thaw = gc.get_freeze_count() == 0
+            if thaw:
+                gc.freeze()
+            try:
+                # every worker starts at once, so none is started without a chunk
+                with ProcessPoolExecutor(
+                    min(workers, len(chunks)), mp_context=ctx, initializer=_worker_init,
+                    initargs=initargs,
+                ) as pool:
+                    chunk_results = list(pool.map(_worker_chunk, chunks))
+            finally:
+                if thaw:
+                    gc.unfreeze()
+    finally:  # a failed batch must not pin the corpus until the next one
+        _WORKER.clear()
+    # pool.map keeps chunk order, so the rows arrive in ordinal order
+    return tuple(np.concatenate(part) for part in zip(*chunk_results))
 
 
 def synthesize_batch(
@@ -1188,46 +1221,14 @@ def synthesize_batch(
         if cluster_weights.k != k:
             raise ConfigError(f"{cluster_weights.k} weights given for {k} clusters")
 
-    _worker_init(corpus, labels, config, engine, cluster_weights)
-    try:
-        if workers == 1 or count == 0:
-            chunk_results = [_worker_chunk(range(count))]
-        else:
-            # warm the source before the pool starts so forked workers
-            # inherit it instead of rebuilding it per process
-            _ENGINE_CLASSES[engine](corpus, config, labels)
-            chunk_size = max(1, math.ceil(count / (workers * 4)))
-            chunks = [
-                range(lo, min(lo + chunk_size, count))
-                for lo in range(0, count, chunk_size)
-            ]
-            try:
-                ctx = multiprocessing.get_context("fork")
-                init, initargs = None, ()
-            except ValueError:
-                ctx = multiprocessing.get_context("spawn")
-                init = _worker_init
-                initargs = (corpus, labels, config, engine, cluster_weights)
-            # a worker's full collection would otherwise visit, and so copy,
-            # every object it inherits; a caller's own freeze is left alone
-            thaw = gc.get_freeze_count() == 0
-            if thaw:
-                gc.freeze()
-            try:
-                # every worker starts at once, so none is started without a chunk
-                with ProcessPoolExecutor(
-                    min(workers, len(chunks)), mp_context=ctx, initializer=init,
-                    initargs=initargs,
-                ) as pool:
-                    chunk_results = list(pool.map(_worker_chunk, chunks))
-            finally:
-                if thaw:
-                    gc.unfreeze()
-    finally:  # a failed batch must not pin the corpus until the next one
-        _WORKER.clear()
-
-    # pool.map keeps chunk order, so the rows arrive in ordinal order
-    drawn, states, fallbacks = (np.concatenate(part) for part in zip(*chunk_results))
+    cls = _ENGINE_CLASSES[engine]
+    if count == 0:  # an empty batch builds no engine
+        drawn, states = np.zeros(0, dtype=np.int64), np.zeros((0, 0))
+        fallbacks = np.zeros((0, len(cls.fallback_names)), dtype=np.int64)
+    else:
+        drawn, states, fallbacks = _run_chunks(
+            cls(corpus, config, labels), cluster_weights, count, workers
+        )
     ids = tuple(f"synth-{ordinal:06d}" for ordinal in range(count))
     out_corpus = Corpus(corpus.alphabet, states, ids, corpus.interval_minutes)
     batch = BatchProvenance(
@@ -1237,7 +1238,7 @@ def synthesize_batch(
         (1.0,) if cluster_weights is None else tuple(float(w) for w in cluster_weights.weights),
         ids,
         drawn,
-        _ENGINE_CLASSES[engine].fallback_names,
+        cls.fallback_names,
         fallbacks,
     )
     return out_corpus, batch

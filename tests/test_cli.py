@@ -563,6 +563,26 @@ class TestPipeline:
         for path in written:
             _strict_json(path)
 
+    def test_output_dir_is_read_from_the_working_directory(
+        self, tmp_path, short_day_csv, monkeypatch
+    ):
+        # input paths are taken from the config file's directory, but
+        # output_dir, like --output and SEQSYNTH_OUTDIR, from the working one
+        cfg_dir, cwd = tmp_path / "cfg", tmp_path / "cwd"
+        cfg_dir.mkdir()
+        cwd.mkdir()
+        (cfg_dir / "days.csv").write_bytes(short_day_csv.read_bytes())
+        cfg = {
+            "input": {"path": "days.csv"},
+            "synth": {"delta": 5, "seed": 1, "count": 2, "engines": ["tvmc"]},
+            "output_dir": "out",
+        }
+        (cfg_dir / "p.json").write_text(json.dumps(cfg))
+        monkeypatch.chdir(cwd)
+        assert run_cli("pipeline", "--config", cfg_dir / "p.json") == 0
+        assert (cwd / "out" / "synth" / "tvmc.csv").exists()
+        assert not (cfg_dir / "out").exists()
+
     def test_sweep_delta_longer_than_day_fails_before_synth(
         self, tmp_path, short_day_csv, capsys, monkeypatch
     ):

@@ -180,11 +180,16 @@ def corpus_csv(tmp_path):
     seqio.save_corpus(corpus, path)
     labels = {sid: i % 2 for i, sid in enumerate(corpus.ids)}
     seqio.save_cluster_labels(labels, _assignment(path))
+    _fixture_config(path).write_text(json.dumps(FIXTURE_CONFIG))
     return path
 
 
 def _assignment(corpus) -> Path:
     return Path(corpus).with_name("assignment.csv")
+
+
+def _fixture_config(corpus) -> Path:
+    return Path(corpus).with_name("fixture.json")
 
 
 def _flags(corpus):
@@ -216,6 +221,49 @@ def _flags(corpus):
              "--method", f"tvmc={corpus}"],
             ("synth", "engines"), ["tvmc", "tvmc"],
         ),
+        # argparse holds no allowed values and parses no number: a choice
+        # or text that is no number fails in the schema, as in a config
+        **_unparsed_flags(corpus),
+    }
+
+
+def _unparsed_flags(corpus):
+    ingest = ["ingest", "--input", corpus]
+    cluster = ["cluster", "--corpus", corpus]
+    synth_ = ["synth", "--corpus", corpus, "--seed", 1]
+    sweep = ["sweep", "--corpus", corpus, "--seed", 1]
+    cases = [
+        (ingest, "--format", "xml", ("input", "format")),
+        (ingest, "--smooth", "five", ("preprocess", "smooth_window")),
+        (ingest, "--interval-minutes", "1.5", ("preprocess", "interval_minutes")),
+        (ingest + ["--format", "continuous"], "--thresholds", "760,x",
+         ("preprocess", "thresholds")),
+        (cluster, "--metric", "euclid", ("cluster", "metric")),
+        (cluster, "--linkage", "single", ("cluster", "linkage")),
+        (cluster, "--k-range", "2:x", ("cluster", "k_range")),
+        (cluster, "--min-size", "x", ("cluster", "min_size")),
+        # synth's one engine is the list of engines a pipeline runs
+        (synth_, "--engine", "hmm", ("synth", "engines"), ["hmm"]),
+        (sweep, "--engine", "hmm", ("sweep", "engine")),
+        (synth_, "--delta", "abc", ("synth", "delta")),
+        (synth_, "--order", "2.0", ("synth", "order")),
+        (synth_, "--sampler", "bogus", ("synth", "sampler", "type")),
+        (synth_, "--bandwidth", "wide", ("synth", "sampler", "bandwidth_rule")),
+        (synth_, "--buffer", "bogus", ("synth", "buffer")),
+        (synth_, "--duration-pool", "bogus", ("synth", "duration_pool")),
+        (synth_, "--count", "x", ("synth", "count")),
+        (["synth", "--corpus", corpus], "--seed", "x", ("synth", "seed")),
+        (synth_, "--weights", "a,b", ("synth", "weights")),
+        (synth_, "--workers", "two", ("synth", "workers")),
+        (sweep, "--workers", "two", ("synth", "workers")),
+        (["pipeline", "--config", _fixture_config(corpus)], "--workers", "two",
+         ("synth", "workers")),
+        (sweep, "--deltas", "30,x", ("sweep", "deltas")),
+        (sweep, "--orders", "1,x", ("sweep", "orders")),
+    ]
+    return {
+        f"{argv[0]}{flag}={text}": (argv + [flag, text], path, value[0] if value else text)
+        for argv, flag, text, path, *value in cases
     }
 
 
@@ -228,6 +276,53 @@ def test_flag_fails_like_its_pipeline_field(tmp_path, corpus_csv, case):
     assert not out.exists()
     code, err = _pipeline(_with(path, value), tmp_path)
     assert _assert_config_error(code, err, tmp_path / "out") == flag_message
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["synth", "--corpus", "c.csv", "--detla", "3"], "unrecognized arguments: --detla 3"),
+        (["synth", "--seed", "1"], "the following arguments are required: --corpus"),
+        ([], "the following arguments are required: command"),
+        (["transmogrify"], "invalid choice: 'transmogrify'"),
+        (["synth", "--corpus", "c.csv", "--format", "xml"], "invalid choice: 'xml'"),
+    ],
+    ids=["unknown-flag", "missing-flag", "missing-command", "unknown-command", "bad-format"],
+)
+def test_malformed_command_line_is_a_config_error(tmp_path, argv, fragment):
+    # argparse once printed its usage and raised SystemExit(2) out of cli.main
+    out = tmp_path / "out"
+    code, err = _run(argv + ["--output", out] if argv else argv)
+    assert fragment in _assert_config_error(code, err, out)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, given, own",
+    [
+        (["ingest", "--input", "c.csv"], "path", {}),
+        (["cluster", "--corpus", "c.csv"], "corpus", {}),
+        # synth runs one engine and writes one format; no config key holds either
+        (["synth", "--corpus", "c.csv"], "corpus", {"engine": "paired-mc", "format": "interval"}),
+        (["eval", "--original", "c.csv", "--method", "m=c.csv"], "original method", {}),
+        (["sweep", "--corpus", "c.csv"], "corpus", {}),
+        (["pipeline", "--config", "p.json"], "config", {}),
+    ],
+    ids=["ingest", "cluster", "synth", "eval", "sweep", "pipeline"],
+)
+def test_a_flag_left_out_takes_the_schema_default(argv, given, own):
+    # argparse states no default of its own, so the schema's applies
+    args = vars(cli.build_parser().parse_args(argv))
+    for key in ("command", "func", *given.split()):
+        del args[key]
+    assert {key: value for key, value in args.items() if value is not None} == own
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["synth", "--help"])
+    assert exit_.value.code == 0
+    assert "--corpus" in capsys.readouterr().out
 
 
 def test_weights_need_clustering(tmp_path, corpus_csv):

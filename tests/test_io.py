@@ -64,6 +64,12 @@ def test_interval_writer_lf_and_utf8(tmp_path, corpus):
     assert raw.decode("utf-8").splitlines()[0] == "id,s1,s2,s3,s4,s5,s6,s7,s8"
 
 
+def test_write_csv_makes_its_directory_and_writes_lf(tmp_path):
+    path = tmp_path / "new" / "table.csv"
+    seqio.write_csv([["state", "a,b"], ["r\u00e9st", 0.5]], path)
+    assert path.read_bytes() == 'state,"a,b"\nr\u00e9st,0.5\n'.encode("utf-8")
+
+
 def test_ragged_row_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("id,s1,s2\na,home,work\nb,home\n", encoding="utf-8")

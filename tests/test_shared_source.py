@@ -80,7 +80,7 @@ def test_tvmc_and_paired_share_one_fit_and_match_fresh_build():
     for assignment in (None, by_id):
         _assert_matches_fresh(shared, config, assignment=assignment)
         _assert_matches_fresh(shared, config, engine="tvmc", assignment=assignment)
-    tvmc = synth.TvmcEngine(shared, config).model
+    tvmc = synth.TvmcEngine(shared, config).tvmc
     assert synth.PairedMcEngine(shared, config).tvmc is tvmc
 
 

@@ -623,10 +623,8 @@ class TestBatch:
             gc.unfreeze()
 
     def test_spawn_fallback_matches_serial(self, monkeypatch):
-        # platforms without fork rebuild worker state via the initializer
+        # platforms without fork unpickle the built engine in each worker
         import multiprocessing
-
-        from seqsynth import synth as synth_mod
 
         real_get_context = multiprocessing.get_context
 
@@ -635,12 +633,20 @@ class TestBatch:
                 raise ValueError("fork disabled for test")
             return real_get_context(method)
 
-        monkeypatch.setattr(synth_mod.multiprocessing, "get_context", no_fork)
+        monkeypatch.setattr(synth.multiprocessing, "get_context", no_fork)
         corpus = activity_ground_truth(20, 120, seed=93)
-        config = SynthesisConfig(delta=15, target_length=120, seed=94)
-        serial, _ = synthesize_batch(corpus, config, 8, workers=1)
-        spawned, _ = synthesize_batch(corpus, config, 8, workers=2)
-        assert serial == spawned
+        labels = {sid: i % 3 for i, sid in enumerate(corpus.ids)}
+        cases = [
+            ({}, {}),
+            ({}, {"engine": "tvmc"}),
+            ({"sampler": "kde"}, {"assignment": labels, "weights": [1.0, 3.0, 0.5]}),
+        ]
+        for fields, kwargs in cases:
+            config = SynthesisConfig(delta=15, target_length=120, seed=94, **fields)
+            serial = synthesize_batch(corpus, config, 8, workers=1, **kwargs)
+            spawned = synthesize_batch(corpus, config, 8, workers=2, **kwargs)
+            assert serial[0] == spawned[0]
+            assert serial[1].to_dict() == spawned[1].to_dict()
 
     def test_weights_concentrate_cluster(self):
         corpus = activity_ground_truth(30, 150, seed=46)
@@ -772,6 +778,28 @@ class TestBatch:
         with pytest.raises(MemoryError):
             synthesize_batch(corpus, config, 4, engine=engine)
         assert synth._WORKER == {}
+
+    @pytest.mark.parametrize("order", [1, 3])
+    @pytest.mark.parametrize("draw", ["direct", "kde", "all_day"])
+    def test_read_ahead_width_does_not_change_output(self, monkeypatch, draw, order):
+        # a row reads its stream _WIDTH doubles at a time; any width must
+        # give the same sequences and leave each stream at the same place
+        corpus = activity_ground_truth(20, 120, seed=96)
+        labels = np.arange(len(corpus)) % 2
+        assignment = dict(zip(corpus.ids, labels))
+        fields = {"kde": {"sampler": "kde"}, "all_day": {"duration_pool": "all_day"}}
+        config = SynthesisConfig(
+            delta=15, order=order, target_length=120, seed=97, **fields.get(draw, {})
+        )
+        seen = []
+        for width in (1, 2, 3, 64):
+            monkeypatch.setattr(synth, "_WIDTH", width)
+            out, prov = synthesize_batch(corpus, config, 12, assignment=assignment)
+            rngs = [np.random.default_rng(s) for s in range(4)]
+            states, _ = PairedMcEngine(corpus, config, labels).generate_many(rngs, [0, 1, 1, 0])
+            after = [rng.random(3).tolist() for rng in rngs]
+            seen.append((out.states_matrix.tobytes(), prov.to_dict(), states.tobytes(), after))
+        assert all(s == seen[0] for s in seen[1:])
 
     def test_ordinal_streams_are_stable_under_count(self):
         # sequence i is identical whether the batch stops at i+1 or later
