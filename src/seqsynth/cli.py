@@ -14,9 +14,10 @@ window-sensitivity sweeps into reproducible pipelines:
 Every subcommand turns its flags into the sections of a pipeline config
 and runs its one stage through the same runner, which checks the whole
 config against one schema before any stage writes.  argparse only splits
-argv into flags: a number that does not parse goes on as its text, and a
-flag left out takes its key's schema default, so a flag is defaulted and
-checked as its config key is, and fails with the same message.
+argv into flags: a number is read as JSON reads it, anything else goes on
+as its text, and a flag left out takes its key's schema default, so a
+flag is defaulted and checked as its config key is, and fails with the
+same message.
 
 Exit codes: 0 success, 2 configuration error (a malformed command line
 too), 3 data error.  Errors are emitted as one JSON object on stderr.
@@ -40,7 +41,7 @@ from pathlib import Path
 
 from . import clustering, evaluate, synth
 from . import io as seqio
-from .core import Corpus, discretize_corpus, smooth_rolling
+from .core import Corpus, discretize_corpus, smooth_rolling, threshold_alphabet
 from .errors import ConfigError, SeqSynthError
 
 EXIT_OK = 0
@@ -54,20 +55,24 @@ def _config_hash(payload: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _number(kind, sep: str | None = None):
-    """argparse ``type``: one ``kind`` number, or a ``sep``-separated list of them.
+def _number(sep: str | None = None):
+    """argparse ``type``: one number, or a ``sep``-separated list of them.
 
-    Empty list items are skipped.  Text that does not parse is passed on as
-    it is, for the schema to reject as it rejects that value in a config.
+    Each number is read with ``json.loads``, as in a config file; empty
+    list items are skipped.  Text with an item that is no JSON int or float
+    (``true``, ``1_0``, ``.5``) is passed on as it is, for the schema to
+    reject as it rejects that value in a config.
     """
 
     def convert(text: str):
+        items = [text] if sep is None else [x for x in text.split(sep) if x.strip()]
         try:
-            if sep is None:
-                return kind(text)
-            return [kind(x) for x in text.split(sep) if x.strip()]
+            values = [json.loads(x) for x in items]
         except ValueError:
             return text
+        if any(type(v) not in (int, float) for v in values):  # bool is no int here
+            return text
+        return values[0] if sep is None else values
 
     return convert
 
@@ -253,10 +258,6 @@ _ENGINES = _must(
     f"a non-empty list drawn from {list(synth.ENGINES)}",
     lambda v: isinstance(v, list) and v and all(e in synth.ENGINES for e in v),
 )
-_THRESHOLDS = _must(
-    "a non-empty list of finite numbers",
-    lambda v: isinstance(v, list) and v and all(synth._finite(t) for t in v),
-)
 _STATES = _must(
     "a string or a list of strings naming states",
     lambda v: (isinstance(v, str) and all(v.split(",")))
@@ -354,7 +355,7 @@ def _check(cfg: dict) -> dict:
     if eff["input"]["format"] == seqio.CONTINUOUS:
         if eff["preprocess"]["thresholds"] is None:
             raise ConfigError("continuous input requires --thresholds")
-        _THRESHOLDS("preprocess.thresholds", eff["preprocess"]["thresholds"])
+        threshold_alphabet(eff["preprocess"]["thresholds"], "preprocess.thresholds")
     clu = eff["cluster"]
     lo, hi = clu["k_range"]
     if clu["enabled"] and clu["labels_path"] is None and not 2 <= lo <= hi:
@@ -582,13 +583,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no flag is abbreviated: a prefix of one is an unknown flag
     parser = _Parser(
-        prog="seqsynth", description="Synthesize and evaluate long categorical sequences."
+        prog="seqsynth", description="Synthesize and evaluate long categorical sequences.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(func, help: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(func.__name__.removeprefix("cmd_"), help=help)
+        p = sub.add_parser(func.__name__.removeprefix("cmd_"), help=help, allow_abbrev=False)
         p.add_argument("--output")
         p.set_defaults(func=func)
         return p
@@ -596,19 +599,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = command(cmd_ingest, "normalize input data to an interval corpus")
     p.add_argument("--input", dest="path", required=True)
     p.add_argument("--format")
-    p.add_argument("--smooth", dest="smooth_window", type=_number(int), metavar="WINDOW")
-    p.add_argument(
-        "--thresholds", type=_number(float, ","), help="e.g. 760,2020 (zero is implied)"
-    )
+    p.add_argument("--smooth", dest="smooth_window", type=_number(), metavar="WINDOW")
+    p.add_argument("--thresholds", type=_number(","), help="e.g. 760,2020 (zero is implied)")
     p.add_argument("--drop-missing", dest="on_missing", action="store_const", const="drop")
-    p.add_argument("--interval-minutes", type=_number(int))
+    p.add_argument("--interval-minutes", type=_number())
 
     p = command(cmd_cluster, "pre-cluster an ingested corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--metric")
     p.add_argument("--linkage")
-    p.add_argument("--k-range", type=_number(int, ":"), metavar="LO:HI")
-    p.add_argument("--min-size", type=_number(int))
+    p.add_argument("--k-range", type=_number(":"), metavar="LO:HI")
+    p.add_argument("--min-size", type=_number())
     p.add_argument("--labels", dest="labels_path", help="user-driven assignment CSV")
 
     p = command(cmd_synth, "synthesize a corpus")
@@ -624,12 +625,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = command(cmd_sweep, "synth+eval over a (delta, order) grid")
     _add_synth_flags(p)
     _add_eval_flags(p)
-    p.add_argument("--deltas", type=_number(int, ","))
-    p.add_argument("--orders", type=_number(int, ","))
+    p.add_argument("--deltas", type=_number(","))
+    p.add_argument("--orders", type=_number(","))
 
     p = command(cmd_pipeline, "run every stage from one JSON config")
     p.add_argument("--config", required=True)
-    p.add_argument("--workers", type=_number(int))
+    p.add_argument("--workers", type=_number())
     return parser
 
 
@@ -638,16 +639,16 @@ def _add_synth_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--assignment", help="cluster assignment CSV")
     p.add_argument("--config", help="synthesis config JSON")
     p.add_argument("--engine")
-    p.add_argument("--delta", type=_number(int))
-    p.add_argument("--order", type=_number(int))
+    p.add_argument("--delta", type=_number())
+    p.add_argument("--order", type=_number())
     p.add_argument("--sampler")
-    p.add_argument("--bandwidth", type=_number(float))
+    p.add_argument("--bandwidth", type=_number())
     p.add_argument("--buffer")
     p.add_argument("--duration-pool")
-    p.add_argument("--count", type=_number(int), help="default: corpus size")
-    p.add_argument("--seed", type=_number(int))
-    p.add_argument("--weights", type=_number(float, ","), help="per-cluster weights a,b,c")
-    p.add_argument("--workers", type=_number(int))
+    p.add_argument("--count", type=_number(), help="default: corpus size")
+    p.add_argument("--seed", type=_number())
+    p.add_argument("--weights", type=_number(","), help="per-cluster weights a,b,c")
+    p.add_argument("--workers", type=_number())
 
 
 def _add_eval_flags(p: argparse.ArgumentParser) -> None:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Corpus
+from .core import Corpus, _finite_list
 from .errors import ConfigError, DataFormatError
 
 __all__ = [
@@ -198,18 +198,18 @@ class ClusterAssignment:
 
 @dataclass(frozen=True, eq=False)
 class ClusterWeights:
-    """Non-negative sampling weights over clusters; at least one positive."""
+    """Finite non-negative weights over clusters, at least one positive, or a ConfigError."""
 
     weights: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.weights, dtype=np.float64, copy=True)
-        if arr.ndim != 1 or arr.size == 0:
-            raise DataFormatError("weights must be a non-empty 1-D vector")
-        if not np.isfinite(arr).all() or arr.min() < 0:
-            raise DataFormatError("weights must be finite and non-negative")
-        if arr.max() <= 0:
-            raise DataFormatError("all-zero weights")
+        items = _finite_list(self.weights)
+        if items is None or min(items) < 0 or max(items) <= 0:
+            raise ConfigError(
+                "weights must be a list of finite non-negative numbers, at least one "
+                f"positive, got {self.weights!r}"
+            )
+        arr = np.array(items, dtype=np.float64)
         arr.setflags(write=False)
         object.__setattr__(self, "weights", arr)
 
@@ -233,7 +233,7 @@ class ClusterWeights:
     @classmethod
     def from_assignment(cls, assignment: ClusterAssignment) -> "ClusterWeights":
         """Default weighting: cluster sizes (size-proportional draws)."""
-        return cls(assignment.sizes.astype(np.float64))
+        return cls(assignment.sizes)
 
 
 def pairwise_distance(corpus: Corpus, metric: str = "hamming") -> DistanceMatrix:

@@ -19,6 +19,7 @@ workers.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -26,7 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import ConfigError, DataFormatError
 
 __all__ = [
     "StateAlphabet",
@@ -379,9 +380,34 @@ def smooth_rolling(series: ContinuousSeries, window: int) -> ContinuousSeries:
     return ContinuousSeries(out, series.id)
 
 
-def threshold_alphabet(thresholds: Sequence[float]) -> StateAlphabet:
-    """Alphabet induced by a threshold list: labels "1" .. "k+1"."""
-    return StateAlphabet(tuple(str(i + 1) for i in range(len(thresholds) + 1)))
+def _finite(value) -> bool:
+    """A JSON number, not a bool, that is a finite float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _finite_list(value) -> list | None:
+    """The items of a non-empty list, tuple or 1-D array of finite numbers, else None."""
+    if isinstance(value, np.ndarray) and value.ndim == 1:
+        value = value.tolist()  # Python numbers, so a bool array holds bools
+    if isinstance(value, (list, tuple)) and value and all(map(_finite, value)):
+        return list(value)
+    return None
+
+
+def threshold_alphabet(thresholds: Sequence[float], name: str = "thresholds") -> StateAlphabet:
+    """Labels "1" .. "k+1" of a threshold list; a bad list is a ConfigError naming ``name``."""
+    items = _finite_list(thresholds)
+    if items is None or not (np.diff(np.array(items, dtype=np.float64)) > 0).all():
+        raise ConfigError(
+            f"{name} must be a non-empty, strictly ascending list of finite numbers, "
+            f"got {thresholds!r}"
+        )
+    return StateAlphabet(tuple(str(i + 1) for i in range(len(items) + 1)))
 
 
 def discretize(
@@ -404,18 +430,15 @@ def discretize_corpus(
     interval_minutes: int = 1,
 ) -> Corpus:
     """Discretize a batch of equal-length continuous series into one corpus."""
+    alphabet = threshold_alphabet(thresholds)
     th = np.asarray(thresholds, dtype=np.float64)
-    if th.ndim != 1 or th.size == 0:
-        raise DataFormatError("thresholds must be a non-empty 1-D list")
-    if not (np.diff(th) > 0).all():
-        raise DataFormatError("thresholds must be strictly ascending")
     series_list = list(series_list)
     ids = tuple(
         s.id if s.id is not None else f"seq-{i:05d}" for i, s in enumerate(series_list)
     )
     values = _stack_rows([s.values for s in series_list], ids)
     return Corpus(
-        threshold_alphabet(thresholds),
+        alphabet,
         np.searchsorted(th, values, side="left"),
         ids,
         interval_minutes,

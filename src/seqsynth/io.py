@@ -95,6 +95,13 @@ def _quoted(fields: Iterable[str]) -> list[str]:
     return [f'"{f}"' if "\r" in f and not f.startswith('"') else f for f in fields]
 
 
+def _integer(text: str, what: str, row_no: int) -> int:
+    """ASCII digits after an optional ``-``: ``int`` would also read "1_0" and " 5"."""
+    if text.isascii() and text.removeprefix("-").isdigit():
+        return int(text)
+    raise DataFormatError(f"row {row_no}: {what} {text!r} is not an integer")
+
+
 def _check_new_ids(seen: set, sid: str, row_no: int) -> None:
     if not sid:
         raise DataFormatError(f"row {row_no}: empty sequence id")
@@ -359,10 +366,7 @@ def _read_episode(fh, path, codes: dict[str, int]):
             current = sid
             ids.append(sid)
             lengths.append(0)
-        try:
-            dur = int(dur_text)
-        except ValueError:
-            raise DataFormatError(f"row {row_no}: duration {dur_text!r} is not an integer")
+        dur = _integer(dur_text, "duration", row_no)
         if dur < 1:
             raise DataFormatError(f"row {row_no}: duration must be at least 1")
         states.append(codes.setdefault(state, len(codes)))
@@ -472,6 +476,7 @@ def save_continuous(series_list: Iterable[ContinuousSeries], path) -> None:
 
 def load_cluster_labels(path) -> dict[str, int]:
     labels: dict[str, int] = {}
+    seen: set[str] = set()
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = _rows(fh, fh.name)
         if next(rows, (1, []))[1] != ["id", "cluster"]:
@@ -482,12 +487,8 @@ def load_cluster_labels(path) -> dict[str, int]:
             if len(row) != 2:
                 raise DataFormatError(f"row {row_no}: expected 2 cells, got {len(row)}")
             sid, cluster = row
-            if sid in labels:
-                raise DataFormatError(f"row {row_no}: duplicate id {sid!r}")
-            try:
-                labels[sid] = int(cluster)
-            except ValueError:
-                raise DataFormatError(f"row {row_no}: cluster {cluster!r} is not an integer")
+            _check_new_ids(seen, sid, row_no)
+            labels[sid] = _integer(cluster, "cluster", row_no)
     if not labels:
         raise DataFormatError(f"{path}: no labels found")
     return labels

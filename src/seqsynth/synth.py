@@ -53,7 +53,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .clustering import ClusterAssignment, ClusterWeights
-from .core import Corpus, episode_table
+from .core import Corpus, _finite, episode_table
 from .errors import ConfigError, DataFormatError
 
 __all__ = [
@@ -147,16 +147,6 @@ def _require_int(name: str, value) -> None:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
-def _finite(value) -> bool:
-    """A JSON number, not a bool, that is a finite float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
 def _check_bandwidth(value) -> None:
     """None (Silverman's rule) or a finite positive number."""
     if value is not None and not (_finite(value) and value > 0):
@@ -191,25 +181,12 @@ def config_from_dict(data: Mapping) -> tuple[SynthesisConfig, int | None, list |
             fields["sampler"] = sampler["type"]
     cfg = SynthesisConfig(**fields)
     count = data.get("count")
-    if count is not None:
+    if count is not None:  # its sign is checked with the batch size
         _require_int("count", count)
-        if count < 0:
-            raise ConfigError("count must be non-negative")
     weights = data.get("weights")
-    if weights is not None and not (
-        isinstance(weights, list)
-        and all(_finite(w) and w >= 0 for w in weights)
-        and any(w > 0 for w in weights)
-    ):
-        raise _weights_error(weights)
+    if weights is not None:
+        ClusterWeights(weights)
     return cfg, count, weights
-
-
-def _weights_error(weights) -> ConfigError:
-    return ConfigError(
-        "weights must be a list of finite non-negative numbers, at least one "
-        f"positive, got {weights!r}"
-    )
 
 
 def config_to_dict(
@@ -1202,24 +1179,18 @@ def synthesize_batch(
     _check_engine_inputs(corpus, config)
 
     assignment = _resolve_assignment(corpus, assignment)
-    labels = cluster_weights = None
+    labels = None
     if assignment is None:
         if weights is not None:
             raise ConfigError("weights need a cluster assignment")
     else:
         labels, k = assignment.labels, assignment.k
         if weights is None:
-            cluster_weights = ClusterWeights.from_assignment(assignment)
-        elif isinstance(weights, ClusterWeights):
-            cluster_weights = weights
-        else:
-            # a bad vector is a ConfigError here, as the same values in a config are
-            try:
-                cluster_weights = ClusterWeights(np.asarray(weights, dtype=np.float64))
-            except DataFormatError:
-                raise _weights_error(weights) from None
-        if cluster_weights.k != k:
-            raise ConfigError(f"{cluster_weights.k} weights given for {k} clusters")
+            weights = ClusterWeights.from_assignment(assignment)
+        elif not isinstance(weights, ClusterWeights):
+            weights = ClusterWeights(weights)
+        if weights.k != k:
+            raise ConfigError(f"{weights.k} weights given for {k} clusters")
 
     cls = _ENGINE_CLASSES[engine]
     if count == 0:  # an empty batch builds no engine
@@ -1227,7 +1198,7 @@ def synthesize_batch(
         fallbacks = np.zeros((0, len(cls.fallback_names)), dtype=np.int64)
     else:
         drawn, states, fallbacks = _run_chunks(
-            cls(corpus, config, labels), cluster_weights, count, workers
+            cls(corpus, config, labels), weights, count, workers
         )
     ids = tuple(f"synth-{ordinal:06d}" for ordinal in range(count))
     out_corpus = Corpus(corpus.alphabet, states, ids, corpus.interval_minutes)
@@ -1235,7 +1206,7 @@ def synthesize_batch(
         engine,
         config,
         count,
-        (1.0,) if cluster_weights is None else tuple(float(w) for w in cluster_weights.weights),
+        (1.0,) if weights is None else tuple(float(w) for w in weights.weights),
         ids,
         drawn,
         cls.fallback_names,

@@ -118,6 +118,18 @@ class TestIngest:
         err = json.loads(capsys.readouterr().err)
         assert err["message"] == "continuous input requires --thresholds"
 
+    def test_bad_thresholds_fail_before_the_input_is_read(self, tmp_path, capsys):
+        # they were once a data error, raised only once the input was read
+        code = run_cli(
+            "ingest", "--input", tmp_path / "missing.csv", "--format", "continuous",
+            "--thresholds", "760,760", "--output", tmp_path / "o",
+        )
+        assert code == cli.EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith("preprocess.thresholds must be a non-empty, strictly")
+        assert not (tmp_path / "o").exists()
+
 
 def test_undecodable_bytes_are_data_error(tmp_path, capsys):
     src = tmp_path / "latin1.csv"

@@ -337,8 +337,25 @@ class TestSampleCluster:
         assert all(int(w.choose(rng.random())) == 0 for _ in range(50))
 
     def test_all_zero_rejected(self):
-        with pytest.raises(DataFormatError, match="all-zero"):
+        # weights are configuration: the message a config's weights get
+        with pytest.raises(ConfigError, match="at least one positive, got"):
             ClusterWeights(np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "weights",
+        [[True, 1], np.array([True, False]), [1, 10**400], [1, -1], [math.nan, 1],
+         [1, math.inf], [], "abc", [[1, 1]], np.ones((1, 2)), np.float64(1.0)],
+        ids=["bool", "bool-array", "huge-int", "negative", "nan", "inf", "empty", "text",
+             "nested", "2-d", "scalar"],
+    )
+    def test_bad_weights_are_config_errors(self, weights):
+        with pytest.raises(ConfigError, match="weights must be a list of finite"):
+            ClusterWeights(weights)
+
+    def test_int_weights_are_read_as_floats(self):
+        for weights in ([3, 1], (3, 1.0), np.array([3, 1])):
+            w = ClusterWeights(weights)
+            assert w.weights.dtype == np.float64 and w.weights.tolist() == [3.0, 1.0]
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -88,6 +88,15 @@ PROBES = [
     (("preprocess", "thresholds"), [760, 10**400], "preprocess.thresholds must be"),
     (("synth", "weights"), [1, 10**400], "weights must be"),
     (("synth", "weights"), [0, 0, 0], "at least one positive"),
+    (("preprocess", "thresholds"), [760, 760], "preprocess.thresholds must be"),
+    (("preprocess", "thresholds"), [2020, 760], "strictly ascending"),
+    # the text a flag passes on when it is no JSON number
+    (("synth", "seed"), "1_0", "seed must be an integer, got '1_0'"),
+    (("synth", "delta"), "٦٠", "delta must be an integer"),
+    (("synth", "count"), "010", "count must be an integer"),
+    (("synth", "sampler", "bandwidth_rule"), ".5", "kde bandwidth must be"),
+    (("synth", "workers"), "true", "synth.workers must be an integer"),
+    (("synth", "weights"), "1_0,1", "weights must be"),
     (("synth", "workers"), synth._MAX_WORKERS + 1, "synth.workers must be at most"),
     (("synth", "sampler", "bandwidth_rule"), 10**400, "kde bandwidth must be"),
 ]
@@ -202,11 +211,11 @@ def _flags(corpus):
             ["synth", "--corpus", corpus, "--seed", 1, "--workers", synth._MAX_WORKERS + 1],
             ("synth", "workers"), synth._MAX_WORKERS + 1,
         ),
-        # the flag's weights are floats, so the pipeline's are too
+        # a flag's numbers are read as JSON, so "0" is the int 0 in both
         "synth-zero-weights": (
             ["synth", "--corpus", corpus, "--seed", 1, "--assignment", _assignment(corpus),
              "--weights", "0,0"],
-            ("synth", "weights"), [0.0, 0.0],
+            ("synth", "weights"), [0, 0],
         ),
         "sweep-deltas": (["sweep", "--corpus", corpus, "--seed", 1, "--deltas", ","],
                          ("sweep", "deltas"), []),
@@ -235,7 +244,8 @@ def _unparsed_flags(corpus):
     cases = [
         (ingest, "--format", "xml", ("input", "format")),
         (ingest, "--smooth", "five", ("preprocess", "smooth_window")),
-        (ingest, "--interval-minutes", "1.5", ("preprocess", "interval_minutes")),
+        # a number is read as JSON reads it: a float is no integer
+        (ingest, "--interval-minutes", "1.5", ("preprocess", "interval_minutes"), 1.5),
         (ingest + ["--format", "continuous"], "--thresholds", "760,x",
          ("preprocess", "thresholds")),
         (cluster, "--metric", "euclid", ("cluster", "metric")),
@@ -246,7 +256,8 @@ def _unparsed_flags(corpus):
         (synth_, "--engine", "hmm", ("synth", "engines"), ["hmm"]),
         (sweep, "--engine", "hmm", ("sweep", "engine")),
         (synth_, "--delta", "abc", ("synth", "delta")),
-        (synth_, "--order", "2.0", ("synth", "order")),
+        (synth_, "--order", "2.0", ("synth", "order"), 2.0),
+        (synth_, "--count", "1e3", ("synth", "count"), 1000.0),
         (synth_, "--sampler", "bogus", ("synth", "sampler", "type")),
         (synth_, "--bandwidth", "wide", ("synth", "sampler", "bandwidth_rule")),
         (synth_, "--buffer", "bogus", ("synth", "buffer")),
@@ -260,6 +271,24 @@ def _unparsed_flags(corpus):
          ("synth", "workers")),
         (sweep, "--deltas", "30,x", ("sweep", "deltas")),
         (sweep, "--orders", "1,x", ("sweep", "orders")),
+        # text that int() or float() reads but JSON does not is no number
+        (["synth", "--corpus", corpus], "--seed", "1_0", ("synth", "seed")),
+        (synth_, "--delta", "٦٠", ("synth", "delta")),
+        (synth_, "--count", "010", ("synth", "count")),
+        (synth_, "--workers", "true", ("synth", "workers")),
+        (synth_, "--bandwidth", ".5", ("synth", "sampler", "bandwidth_rule")),
+        (synth_, "--bandwidth", "inf", ("synth", "sampler", "bandwidth_rule")),
+        (synth_, "--weights", "1_0,1", ("synth", "weights")),
+        (sweep, "--deltas", "30,٦٠", ("sweep", "deltas")),
+        (ingest, "--smooth", "010", ("preprocess", "smooth_window")),
+        (ingest, "--interval-minutes", "true", ("preprocess", "interval_minutes")),
+        (ingest + ["--format", "continuous"], "--thresholds", "760,.5",
+         ("preprocess", "thresholds")),
+        (cluster, "--k-range", "2:1_0", ("cluster", "k_range")),
+        (cluster, "--min-size", "٥", ("cluster", "min_size")),
+        # a list read whole is checked whole: repeats are not ascending
+        (ingest + ["--format", "continuous"], "--thresholds", "760,760",
+         ("preprocess", "thresholds"), [760, 760]),
     ]
     return {
         f"{argv[0]}{flag}={text}": (argv + [flag, text], path, value[0] if value else text)
@@ -286,8 +315,12 @@ def test_flag_fails_like_its_pipeline_field(tmp_path, corpus_csv, case):
         ([], "the following arguments are required: command"),
         (["transmogrify"], "invalid choice: 'transmogrify'"),
         (["synth", "--corpus", "c.csv", "--format", "xml"], "invalid choice: 'xml'"),
+        # a prefix of a flag once ran as that flag: --dur as --duration-pool
+        (["synth", "--corpus", "c.csv", "--seed", "5", "--dur", "all_day", "--del", "10"],
+         "unrecognized arguments: --dur all_day --del 10"),
     ],
-    ids=["unknown-flag", "missing-flag", "missing-command", "unknown-command", "bad-format"],
+    ids=["unknown-flag", "missing-flag", "missing-command", "unknown-command", "bad-format",
+         "abbreviated-flag"],
 )
 def test_malformed_command_line_is_a_config_error(tmp_path, argv, fragment):
     # argparse once printed its usage and raised SystemExit(2) out of cli.main

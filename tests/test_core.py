@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqsynth import (
+    ConfigError,
     ContinuousSeries,
     Corpus,
     DataFormatError,
@@ -12,6 +13,7 @@ from seqsynth import (
     IntervalSequence,
     StateAlphabet,
     discretize,
+    discretize_corpus,
     rle_decode,
     rle_encode,
     smooth_rolling,
@@ -147,8 +149,28 @@ class TestDiscretize:
             ContinuousSeries([-1.0])
 
     def test_rejects_unsorted_thresholds(self):
-        with pytest.raises(DataFormatError):
+        # a threshold list is configuration, checked by threshold_alphabet
+        with pytest.raises(ConfigError, match="strictly ascending"):
             discretize(ContinuousSeries([1.0]), [10.0, 5.0])
+
+    @pytest.mark.parametrize(
+        "thresholds",
+        [[float("nan")], [0.0, float("inf")], [2.0, 1.0], [1.0, 1.0], [], [1.0, True],
+         [1, 10**400], "760", np.array([[1.0, 2.0]])],
+        ids=["nan", "inf", "descending", "repeat", "empty", "bool", "huge-int", "text", "2-d"],
+    )
+    def test_bad_thresholds_are_config_errors(self, thresholds):
+        # NaN once mapped every value to state "1", and inf was accepted
+        with pytest.raises(ConfigError, match="thresholds must be a non-empty, strictly"):
+            threshold_alphabet(thresholds)
+        with pytest.raises(ConfigError, match="thresholds must be a non-empty, strictly"):
+            discretize_corpus([ContinuousSeries([1.0, 3.0])], thresholds)
+
+    def test_threshold_array_accepted(self):
+        series = [ContinuousSeries([0.0, 800.0, 3000.0])]
+        as_list = discretize_corpus(series, [0, 760.0, 2020])
+        assert discretize_corpus(series, np.array([0, 760.0, 2020])) == as_list
+        assert as_list.states_matrix.tolist() == [[0, 2, 3]]
 
     @given(st.lists(st.floats(0, 5000, allow_nan=False), min_size=2, max_size=50))
     def test_monotone(self, values):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -130,6 +131,45 @@ def test_continuous_negative_rejected(tmp_path):
     path.write_text("id,v1\na,-3\n", encoding="utf-8")
     with pytest.raises(DataFormatError, match="negative"):
         seqio.load_continuous(path)
+
+
+@pytest.mark.parametrize("cell", ["1_0", " 5", "\u0661\u0665", "+5", "5.0", "", "-"])
+def test_episode_duration_is_ascii_digits(tmp_path, cell):
+    # int() read "1_0" as 10, " 5" as 5 and Arabic-Indic digits as 15
+    path = tmp_path / "ep.csv"
+    path.write_text(f"id,state,duration\na,rest,3\na,walk,{cell}\n", encoding="utf-8")
+    message = f"row 3: duration {cell!r} is not an integer"
+    with pytest.raises(DataFormatError, match=re.escape(message)):
+        seqio.load_corpus(path, "episode")
+
+
+@pytest.mark.parametrize("cell", ["\u0663", "1_0", " 1", "+1", "1.0", "", "-"])
+def test_cluster_label_is_ascii_digits(tmp_path, cell):
+    path = tmp_path / "labels.csv"
+    path.write_text(f"id,cluster\nd0,0\nd1,{cell}\n", encoding="utf-8")
+    message = f"row 3: cluster {cell!r} is not an integer"
+    with pytest.raises(DataFormatError, match=re.escape(message)):
+        seqio.load_cluster_labels(path)
+
+
+def test_cluster_label_may_be_negative(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("id,cluster\nd0,-1\nd1,07\n", encoding="utf-8")
+    assert seqio.load_cluster_labels(path) == {"d0": -1, "d1": 7}
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [(",1\nd1,0\n", "row 2: empty sequence id"),
+     ("d1,1\nd1,0\n", "row 3: duplicate sequence id 'd1'")],
+    ids=["empty", "duplicate"],
+)
+def test_cluster_label_ids_checked_as_corpus_ids(tmp_path, rows, message):
+    # an empty id was once accepted: {'': 1, 'd1': 0}
+    path = tmp_path / "labels.csv"
+    path.write_text("id,cluster\n" + rows, encoding="utf-8")
+    with pytest.raises(DataFormatError, match=message):
+        seqio.load_cluster_labels(path)
 
 
 def test_cluster_labels_round_trip(tmp_path):

@@ -131,10 +131,10 @@ def _parse_episode(path):
             current = sid
             ids.append(sid)
             out.append([])
-        try:
-            dur = int(dur_text)
-        except ValueError:
+        # a duration is ASCII digits, signed or not: int() alone takes " 2"
+        if not (dur_text.isascii() and dur_text.removeprefix("-").isdigit()):
             raise DataFormatError(f"row {row_no}: duration {dur_text!r} is not an integer")
+        dur = int(dur_text)
         if dur < 1:
             raise DataFormatError(f"row {row_no}: duration must be at least 1")
         out[-1].extend([state] * dur)
